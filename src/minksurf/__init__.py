@@ -8,7 +8,7 @@ from .errors import (AdmissibilityError, CurvatureMismatch, DegenerateFrame,
 from .minkowski import (E1, E2, E3, E4, XI1, XI2, CausalCharacter,
                         NullFrameCoords, Vec4M, causal_character,
                         from_null_frame, inner, to_null_frame)
-from .jets import Jet2, Jet2Vec4, jet_apply, vec_from_null_jets
+from .jets import Jet2, Jet2Vec4, vec_from_null_jets
 from .surface import (Interval, PointClass, PointData, PointKind, Rect,
                       SurfacePatch, classify_point, is_marginally_trapped,
                       jet_eval_surface, normal_frame, point_data,

@@ -214,9 +214,3 @@ def compile_profile(src: str, variable: str) -> Callable[[Jet2], Jet2]:
     node = _Parser(_tokenize(src), variable).parse()
     return lambda x: _eval(node, x)
 
-
-def evaluate(src: str, variable: str, at: float) -> float:
-    """Parse and evaluate an expression at a point (value slot only)."""
-    fn = compile_profile(src, variable)
-    seed = Jet2.seed_u(at) if variable == "u" else Jet2.seed_v(at)
-    return fn(seed).val

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .errors import DomainError
 from .minkowski import Vec4M
@@ -185,33 +185,6 @@ def log_abs(x: Jet2) -> Jet2:
         raise DomainError("log-abs", x.val, "argument != 0")
     inv = 1.0 / x.val
     return _chain(x, math.log(abs(x.val)), inv, -inv * inv)
-
-
-_ELEMENTARY: dict[str, Callable[[Jet2], Jet2]] = {
-    "sin": sin,
-    "cos": cos,
-    "sqrt": sqrt,
-    "ln": ln,
-    "exp": exp,
-    "reciprocal": reciprocal,
-}
-
-
-def jet_apply(tag: str, x: Jet2, exponent: float | None = None) -> Jet2:
-    """Apply a tagged elementary function to a jet.
-
-    Tags: sin, cos, sqrt, ln, exp, reciprocal, pow-by-real (the last
-    requires ``exponent``).
-    """
-    if tag == "pow-by-real":
-        if exponent is None:
-            raise DomainError("pow-by-real", math.nan, "exponent required")
-        return powr(x, exponent)
-    try:
-        f = _ELEMENTARY[tag]
-    except KeyError:
-        raise DomainError(tag, x.val, "a known elementary-function tag") from None
-    return f(x)
 
 
 @dataclass(frozen=True, slots=True)

@@ -81,8 +81,10 @@ def profile_v(fn: ProfileFn, v: float) -> Jet2:
 
 def kappa_m(fp: ProfilePair, u: float) -> float:
     """Curvature of the meridian line: (f'g'' - g'f'') / (-2f'g')^(3/2)."""
-    fj = profile_u(fp.f, u)
-    gj = profile_u(fp.g, u)
+    return _kappa_m(profile_u(fp.f, u), profile_u(fp.g, u), u)
+
+
+def _kappa_m(fj: Jet2, gj: Jet2, u: float) -> float:
     p = -2.0 * fj.du * gj.du
     if p <= 0.0:
         raise AdmissibilityError("-f'*g' > 0", "u", u)
@@ -92,7 +94,10 @@ def kappa_m(fp: ProfilePair, u: float) -> float:
 def kappa_bar(phi: ProfileCurvePhi, v: float) -> float:
     """Curvature of the generating curve:
     (phi*phi'' - 2 phi'^2 - phi^2) / (phi'^2 + phi^2)^(3/2)."""
-    pj = profile_v(phi.phi, v)
+    return _kappa_bar(profile_v(phi.phi, v), v)
+
+
+def _kappa_bar(pj: Jet2, v: float) -> float:
     q = pj.dv * pj.dv + pj.val * pj.val
     if q <= 0.0:
         raise AdmissibilityError("phi'^2 + phi^2 > 0", "v", v)
@@ -247,17 +252,13 @@ def parabolic_closed_forms(fp: ProfilePair, phi: ProfileCurvePhi,
     fj = profile_u(fp.f, u)
     gj = profile_u(fp.g, u)
     pj = profile_v(phi.phi, v)
+    km = _kappa_m(fj, gj, u)
+    kb = _kappa_bar(pj, v)
     e = -2.0 * fj.du * gj.du
-    if e <= 0.0:
-        raise AdmissibilityError("-f'*g' > 0", "u", u)
     q = pj.dv * pj.dv + pj.val * pj.val
-    if q <= 0.0:
-        raise AdmissibilityError("phi'^2 + phi^2 > 0", "v", v)
     f = fj.val
     g = f * f * q
     w = math.sqrt(e * g)
-    km = kappa_m(fp, u)
-    kb = kappa_bar(phi, v)
     sgn = math.copysign(1.0, fj.du)
     root_e = math.sqrt(e)
     return ClosedForms(

@@ -84,14 +84,19 @@ def inner(a: Vec4M, b: Vec4M) -> float:
 def causal_character(v: Vec4M, tol: float = 1e-12) -> CausalCharacter:
     """Classify a vector as spacelike / timelike / lightlike / zero.
 
-    The lightlike test is relative to the squared Euclidean norm, so
-    the classification is invariant under positive rescaling.
+    ZERO means exactly the zero vector.  Otherwise v is first rescaled by
+    a power of two to unit order, and the lightlike test is relative to
+    the squared Euclidean norm, so the classification is invariant under
+    positive rescaling and <v, v> cannot underflow.
     """
     if tol <= 0.0:
         raise Error(f"tolerance must be positive, got {tol!r}")
-    n = v.euclidean_norm()
-    if n <= tol:
+    big = max(abs(x) for x in v.coords())
+    if big == 0.0:
         return CausalCharacter.ZERO
+    shift = -math.frexp(big)[1]
+    v = Vec4M(*(math.ldexp(x, shift) for x in v.coords()))
+    n = v.euclidean_norm()
     q = inner(v, v)
     if abs(q) <= tol * n * n:
         return CausalCharacter.LIGHTLIKE

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 from .errors import DegenerateFrame, DomainError, NotSpacelike
 from .jets import Jet2, Jet2Vec4
-from .minkowski import (E1, E2, E3, E4, CausalCharacter, Vec4M,
+from .minkowski import (E1, E2, E3, E4, ZERO, CausalCharacter, Vec4M,
                         causal_character, inner)
 
 
@@ -59,9 +59,6 @@ class Interval:
         b = self.hi - inset * self.width
         step = (b - a) / (n - 1)
         return [a + i * step for i in range(n - 1)] + [b]
-
-    def clipped(self, lo: float, hi: float) -> "Interval":
-        return Interval(max(self.lo, lo), min(self.hi, hi))
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,8 +183,6 @@ class PointData:
     F: float
     G: float
     W: float
-    x: Vec4M
-    y: Vec4M
     n1: Vec4M
     n2: Vec4M
     c11_1: float
@@ -213,57 +208,39 @@ class PointData:
 
 FrameLike = Union[FrameFn, tuple[Vec4M, Vec4M], None]
 
-
-def _resolve_frame(patch: SurfacePatch, u: float, v: float,
-                   z_u: Vec4M, z_v: Vec4M, e: float, g: float,
-                   frame: FrameLike, frame_tol: float) -> tuple[Vec4M, Vec4M]:
-    chosen = frame if frame is not None else patch.frame
-    if chosen is None:
-        return normal_frame(z_u, z_v)
-    n1, n2 = chosen(u, v) if callable(chosen) else chosen
-    su = math.sqrt(e)
-    sv = math.sqrt(g)
-    residuals = (
-        abs(inner(n1, n1) - 1.0), abs(inner(n2, n2) + 1.0),
-        abs(inner(n1, n2)),
-        abs(inner(n1, z_u)) / su, abs(inner(n1, z_v)) / sv,
-        abs(inner(n2, z_u)) / su, abs(inner(n2, z_v)) / sv,
-    )
-    worst = max(residuals)
-    if worst > frame_tol:
-        raise DegenerateFrame(
-            f"supplied frame is not orthonormal-normal (residual {worst:.3e})")
-    return n1, n2
+# Largest orthonormality or normality residual accepted in a supplied frame.
+FRAME_TOL = 1e-8
+# H is set to exactly ZERO when |H| <= H_FLOOR * |trace| (Euclidean norms):
+# below that it is rounding noise of the normal projection, and the ratio
+# does not change when the immersion is rescaled.
+H_FLOOR = 1e-12
 
 
 def point_data(patch: SurfacePatch, u: float, v: float,
-               frame: FrameLike = None, frame_tol: float = 1e-8) -> PointData:
+               frame: FrameLike = None) -> PointData:
     """Compute all pointwise geometry at an interior point.
 
-    ``frame`` overrides the normal frame (a callable or an (n1, n2) pair);
-    it is validated for orthonormality and normality but not for
-    orientation, so sign-flipped frames can be probed deliberately.
+    ``frame`` overrides the patch's own frame (a callable or an (n1, n2)
+    pair); see :func:`point_data_from_derivatives` for how it is checked.
     """
     jets = jet_eval_surface(patch, u, v)
-
-    def resolver(z_u, z_v, e, g):
-        return _resolve_frame(patch, u, v, z_u, z_v, e, g, frame, frame_tol)
-
     return point_data_from_derivatives(
         u, v, jets.value(), jets.d_u(), jets.d_v(),
-        jets.d_uu(), jets.d_uv(), jets.d_vv(), _frame_resolver=resolver)
+        jets.d_uu(), jets.d_uv(), jets.d_vv(), frame=frame or patch.frame)
 
 
 def point_data_from_derivatives(u: float, v: float, z: Vec4M,
                                 z_u: Vec4M, z_v: Vec4M, z_uu: Vec4M,
                                 z_uv: Vec4M, z_vv: Vec4M,
-                                frame: FrameLike = None,
-                                _frame_resolver=None) -> PointData:
+                                frame: FrameLike = None) -> PointData:
     """Pointwise geometry from already-computed derivative vectors.
 
     Lets a caller feed derivatives obtained by any means (for instance a
     finite-difference scheme) through the exact same formula path as
-    :func:`point_data`.
+    :func:`point_data`.  ``frame`` is a callable of (u, v) or an (n1, n2)
+    pair; it is checked for orthonormality and normality to FRAME_TOL but
+    not for orientation, so sign-flipped frames can be probed
+    deliberately.  Without one the canonical :func:`normal_frame` is used.
     """
     e = inner(z_u, z_u)
     f = inner(z_u, z_v)
@@ -274,12 +251,21 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
             f"not spacelike at (u,v)=({u!r},{v!r}): E={e!r}, EG-F^2={det2!r}")
     w = math.sqrt(det2)
 
-    if _frame_resolver is not None:
-        n1, n2 = _frame_resolver(z_u, z_v, e, g)
-    elif frame is not None:
-        n1, n2 = frame(u, v) if callable(frame) else frame
-    else:
+    if frame is None:
         n1, n2 = normal_frame(z_u, z_v)
+    else:
+        n1, n2 = frame(u, v) if callable(frame) else frame
+        su = math.sqrt(e)
+        sv = math.sqrt(g)
+        worst = max(
+            abs(inner(n1, n1) - 1.0), abs(inner(n2, n2) + 1.0),
+            abs(inner(n1, n2)),
+            abs(inner(n1, z_u)) / su, abs(inner(n1, z_v)) / sv,
+            abs(inner(n2, z_u)) / su, abs(inner(n2, z_v)) / sv,
+        )
+        if worst > FRAME_TOL:
+            raise DegenerateFrame(
+                f"supplied frame is not orthonormal-normal (residual {worst:.3e})")
 
     c11_1 = inner(z_uu, n1)
     c12_1 = inner(z_uv, n1)
@@ -310,16 +296,14 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     alpha = (g * tu - f * tv) / det2
     beta = (e * tv - f * tu) / det2
     h_vec = trace - z_u.scale(alpha) - z_v.scale(beta)
+    if h_vec.euclidean_norm() <= H_FLOOR * trace.euclidean_norm():
+        h_vec = ZERO
     h1 = inner(h_vec, n1)
     h2 = -inner(h_vec, n2)
 
-    # Orthonormal tangent frame (first leg along z_u).
-    x = z_u.scale(1.0 / math.sqrt(e))
-    y = (z_v - z_u.scale(f / e)).scale(math.sqrt(e / det2))
-
     return PointData(u=u, v=v, z=z, z_u=z_u, z_v=z_v,
                      z_uu=z_uu, z_uv=z_uv, z_vv=z_vv,
-                     E=e, F=f, G=g, W=w, x=x, y=y, n1=n1, n2=n2,
+                     E=e, F=f, G=g, W=w, n1=n1, n2=n2,
                      c11_1=c11_1, c12_1=c12_1, c22_1=c22_1,
                      c11_2=c11_2, c12_2=c12_2, c22_2=c22_2,
                      L=big_l, M=big_m, N=big_n,
@@ -352,5 +336,9 @@ def classify_point(p: PointData, tol: float = 1e-10) -> PointClass:
 
 
 def is_marginally_trapped(p: PointData, tol: float = 1e-9) -> bool:
-    """True iff the mean curvature vector is lightlike (nonzero included)."""
+    """True iff the mean curvature vector is lightlike and nonzero.
+
+    ``tol`` is the relative lightlike tolerance of :func:`causal_character`;
+    H below the noise floor is exactly ZERO and never counts as trapped.
+    """
     return causal_character(p.H, tol) is CausalCharacter.LIGHTLIKE

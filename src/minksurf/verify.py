@@ -12,7 +12,7 @@ to six orders of margin over the observed noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -357,21 +357,15 @@ def claim_suite(tol: float = 1e-9) -> list[VerificationReport]:
                                domain=Interval(0.0, two_pi))
     mt_patch = build_parabolic(mt_prof, phi_unit, label="general lightlike-H family")
     mt_grid = GridSpec(100, 20, Interval(0.2, 3.0), Interval(0.0, two_pi))
-    general = verify_marginally_trapped(mt_patch, mt_grid, tol)
-    reports.append(VerificationReport("general-family-lightlike-H",
-                                      general.max_residual, general.threshold,
-                                      general.worst_point, general.samples,
-                                      general.details))
+    reports.append(replace(verify_marginally_trapped(mt_patch, mt_grid, tol),
+                           claim_id="general-family-lightlike-H"))
 
     phi_cos = ProfileCurvePhi(phi=lambda j: -2.0 * _j.cos(j),
                               domain=Interval(1.7, 4.5))
     cone = mt_cone_patch(-0.5, 0.0, phi_cos, u_range=Interval(0.2, 4.0))
     cone_grid = GridSpec.for_patch(cone, 40, 40)
-    cone_rep = verify_marginally_trapped(cone, cone_grid, tol)
-    reports.append(VerificationReport("cone-family-lightlike-H",
-                                      cone_rep.max_residual, cone_rep.threshold,
-                                      cone_rep.worst_point, cone_rep.samples,
-                                      cone_rep.details))
+    reports.append(replace(verify_marginally_trapped(cone, cone_grid, tol),
+                           claim_id="cone-family-lightlike-H"))
 
     reports.append(verify_ode_chain(mt_params, tol=tol))
     reports.append(verify_constant_section_curvature(3.0, 4.0, 0.0,

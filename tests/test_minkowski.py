@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minksurf.errors import Error
@@ -81,6 +81,9 @@ class TestCausalCharacter:
             causal_character(E1, 0.0)
 
     @given(vectors, st.floats(min_value=0.01, max_value=100.0))
+    @example(Vec4M(0.0, 0.0, 0.0, 1e-11), 0.0625)
+    # Scaled by 0.01, the raw <v, v> of this vector underflows to zero.
+    @example(Vec4M(0.0, 0.0, 0.0, 1e-160), 0.01)
     @settings(max_examples=200)
     def test_scale_invariance(self, v, s):
         base = causal_character(v, 1e-12)

@@ -10,7 +10,8 @@ from minksurf.minkowski import (E1, E2, E3, E4, CausalCharacter, Vec4M,
                                 causal_character, inner, to_null_frame)
 from minksurf.surface import (Interval, PointKind, Rect, SurfacePatch,
                               classify_point, is_marginally_trapped,
-                              jet_eval_surface, normal_frame, point_data)
+                              jet_eval_surface, normal_frame, point_data,
+                              point_data_from_derivatives)
 from minksurf.meridian import (ProfileCurvePhi, ProfilePair, build_parabolic,
                                mt_cone_patch, mt_general_profile,
                                MTFamilyParams)
@@ -191,9 +192,11 @@ class TestMarginallyTrapped:
             p = point_data(flat_patch, u, v)
             assert not is_marginally_trapped(p)
 
-    def test_zero_h_is_not(self):
-        # f = u, g = -u^3/3 with a zero-curvature profile has H == 0.
-        fp = ProfilePair(f=lambda j: j, g=lambda j: -(j * j * j) / 3.0,
+    @pytest.mark.parametrize("s", [1.0, 1e-6], ids=["unit", "micro"])
+    def test_zero_h_is_not(self, s):
+        # f = u, g = -u^3/3 with a zero-curvature profile has H == 0;
+        # scaling f and g by s scales the whole immersion by s.
+        fp = ProfilePair(f=lambda j: s * j, g=lambda j: -(s * (j * j * j)) / 3.0,
                          domain=Interval(0.5, 2.0))
         phi = ProfileCurvePhi(phi=lambda j: jets.reciprocal(jets.cos(j)),
                               domain=Interval(-1.2, 1.2))
@@ -294,6 +297,11 @@ class TestFrameIndependence:
     def test_invalid_frame_rejected(self, flat_patch):
         with pytest.raises(DegenerateFrame):
             point_data(flat_patch, 1.0, 0.0, frame=(E1, E4))
+        j = jet_eval_surface(flat_patch, 1.0, 0.0)
+        with pytest.raises(DegenerateFrame):
+            point_data_from_derivatives(1.0, 0.0, j.value(), j.d_u(), j.d_v(),
+                                        j.d_uu(), j.d_uv(), j.d_vv(),
+                                        frame=(E1, E4))
 
 
 class TestReparametrization:
