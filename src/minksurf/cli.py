@@ -198,7 +198,7 @@ def _cmd_section(args) -> int:
     print(f"sampled max deviation: "
           f"{exporters.fmt(max(abs(x - curvature) for x in values))}")
     if args.csv:
-        with open(args.csv, "w", encoding="ascii", newline="\n") as fh:
+        with exporters.atomic_writer(args.csv) as fh:
             fh.write("v,phi,kappa_bar\n")
             for v, kb in zip(vs, values):
                 p = profile_v(phi.phi, v).val

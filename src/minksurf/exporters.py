@@ -2,11 +2,18 @@
 
 All reals are serialized with 17 significant digits, which round-trips
 binary64 exactly; identical inputs therefore produce byte-identical files.
+Every file is written atomically: a run that fails leaves no partial file
+and does not touch a file already at the target path.
+
+The exporters evaluate one point at a time, so memory stays flat however
+large the grid is.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +37,30 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@contextmanager
+def atomic_writer(path: str):
+    """A text file handle whose contents appear at ``path`` only if the
+    block completes.
+
+    The text goes to a fresh temporary file in the target's directory,
+    which ``os.replace`` moves onto ``path`` on success and which is
+    removed on failure.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="ascii", newline="\n")
+    except OSError as exc:   # report the target, not the temporary name
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def export_grid_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
     """Write the full invariant table, one row per grid point.
 
@@ -38,7 +69,7 @@ def export_grid_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
     self inner product.  Returns the number of data rows.
     """
     rows = 0
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         fh.write(CSV_HEADER + "\n")
         for u, v in grid.points():
             p = point_data(patch, u, v)
@@ -52,7 +83,7 @@ def export_grid_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
 def export_positions_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
     """Write sampled positions only (u, v, x1..x4); returns the row count."""
     rows = 0
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         fh.write(POSITIONS_HEADER + "\n")
         for u, v in grid.points():
             z = jet_eval_surface(patch, u, v).value()
@@ -78,7 +109,7 @@ def export_obj(patch: SurfacePatch, grid: GridSpec,
             f"projection matrix has rank < 3 (singular values {sv})")
 
     nu, nv = grid.u_samples, grid.v_samples
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         for u, v in grid.points():
             z = np.array(jet_eval_surface(patch, u, v).value().coords())
             x, y, w = proj @ z

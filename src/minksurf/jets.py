@@ -9,6 +9,11 @@ variable's slots stay identically zero.
 
 Mixed partials occupy a single ``duv`` slot; symmetry of second derivatives
 is built into the representation rather than checked after the fact.
+
+Slots hold Python floats (one point) or equal-length float64 arrays (many
+points); the same code serves both, with ``math`` or ``numpy`` looked up
+by :func:`~minksurf.minkowski.elementary`.  A domain guard fails if any
+element fails and names the first failing value.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError
-from .minkowski import Vec4M
+from .minkowski import Vec4M, elementary, first_failure
 
 Scalar = Union[int, float]
 
@@ -42,11 +47,12 @@ class Jet2:
 
     @staticmethod
     def seed_u(t: Scalar) -> "Jet2":
-        return Jet2(float(t), du=1.0)
+        # t * 1.0: an int becomes a float, an array stays an array.
+        return Jet2(t * 1.0, du=1.0)
 
     @staticmethod
     def seed_v(t: Scalar) -> "Jet2":
-        return Jet2(float(t), dv=1.0)
+        return Jet2(t * 1.0, dv=1.0)
 
     # -- ring operations ----------------------------------------------
 
@@ -108,57 +114,63 @@ def _chain(x: Jet2, f0: float, f1: float, f2: float) -> Jet2:
     )
 
 
+def _require(func: str, failed, x: Jet2, requirement: str) -> None:
+    bad = first_failure(failed, x.val)
+    if bad:
+        raise DomainError(func, *bad, requirement)
+
+
 def sin(x: Jet2) -> Jet2:
-    s, c = math.sin(x.val), math.cos(x.val)
+    ops = elementary(x.val)
+    s, c = ops.sin(x.val), ops.cos(x.val)
     return _chain(x, s, c, -s)
 
 
 def cos(x: Jet2) -> Jet2:
-    s, c = math.sin(x.val), math.cos(x.val)
+    ops = elementary(x.val)
+    s, c = ops.sin(x.val), ops.cos(x.val)
     return _chain(x, c, -s, -c)
 
 
 def sqrt(x: Jet2) -> Jet2:
-    if x.val <= 0.0:
-        raise DomainError("sqrt", x.val, "argument > 0")
-    r = math.sqrt(x.val)
+    _require("sqrt", x.val <= 0.0, x, "argument > 0")
+    r = elementary(x.val).sqrt(x.val)
     inv = 0.5 / r
     return _chain(x, r, inv, -0.5 * inv / x.val)
 
 
 def ln(x: Jet2) -> Jet2:
-    if x.val <= 0.0:
-        raise DomainError("ln", x.val, "argument > 0")
+    _require("ln", x.val <= 0.0, x, "argument > 0")
     inv = 1.0 / x.val
-    return _chain(x, math.log(x.val), inv, -inv * inv)
+    return _chain(x, elementary(x.val).log(x.val), inv, -inv * inv)
 
 
 def exp(x: Jet2) -> Jet2:
-    e = math.exp(x.val)
+    e = elementary(x.val).exp(x.val)
     return _chain(x, e, e, e)
 
 
 def sinh(x: Jet2) -> Jet2:
-    s, c = math.sinh(x.val), math.cosh(x.val)
+    ops = elementary(x.val)
+    s, c = ops.sinh(x.val), ops.cosh(x.val)
     return _chain(x, s, c, s)
 
 
 def cosh(x: Jet2) -> Jet2:
-    s, c = math.sinh(x.val), math.cosh(x.val)
+    ops = elementary(x.val)
+    s, c = ops.sinh(x.val), ops.cosh(x.val)
     return _chain(x, c, s, c)
 
 
 def reciprocal(x: Jet2) -> Jet2:
-    if x.val == 0.0:
-        raise DomainError("reciprocal", x.val, "argument != 0")
+    _require("reciprocal", x.val == 0.0, x, "argument != 0")
     inv = 1.0 / x.val
     return _chain(x, inv, -inv * inv, 2.0 * inv * inv * inv)
 
 
 def powr(x: Jet2, p: float) -> Jet2:
     """x**p for a real exponent; requires x > 0."""
-    if x.val <= 0.0:
-        raise DomainError("pow-by-real", x.val, "argument > 0")
+    _require("pow-by-real", x.val <= 0.0, x, "argument > 0")
     f0 = x.val ** p
     f1 = p * x.val ** (p - 1.0)
     f2 = p * (p - 1.0) * x.val ** (p - 2.0)
@@ -181,10 +193,9 @@ def powi(x: Jet2, n: int) -> Jet2:
 
 def log_abs(x: Jet2) -> Jet2:
     """ln |x| for x != 0; d/dx ln|x| = 1/x on either side of zero."""
-    if x.val == 0.0:
-        raise DomainError("log-abs", x.val, "argument != 0")
+    _require("log-abs", x.val == 0.0, x, "argument != 0")
     inv = 1.0 / x.val
-    return _chain(x, math.log(abs(x.val)), inv, -inv * inv)
+    return _chain(x, elementary(x.val).log(abs(x.val)), inv, -inv * inv)
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,9 @@ lightlike-axis paraboloid that carries every generating curve, and its
 constant-curvature plane sections.
 
 Profile functions are callables on :class:`~minksurf.jets.Jet2` values, so
-every geometric quantity below is differentiated exactly.
+every geometric quantity below is differentiated exactly.  The adapted
+frame, kappa_m, kappa_bar and the closed forms take u and v as floats or
+as equal-length arrays, like the surface engine.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from typing import Callable, Optional
 from . import jets
 from .errors import AdmissibilityError, CurvatureMismatch, ParamError
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
-from .minkowski import XI1, NullFrameCoords, Vec4M, from_null_frame, inner
+from .minkowski import (XI1, NullFrameCoords, Vec4M, elementary,
+                        first_failure, from_null_frame, inner)
 from .surface import Interval, Rect, SurfacePatch
 
 ProfileFn = Callable[[Jet2], Jet2]
@@ -84,10 +87,15 @@ def kappa_m(fp: ProfilePair, u: float) -> float:
     return _kappa_m(profile_u(fp.f, u), profile_u(fp.g, u), u)
 
 
+def _require(inequality: str, failed, variable: str, value) -> None:
+    bad = first_failure(failed, value)
+    if bad:
+        raise AdmissibilityError(inequality, variable, *bad)
+
+
 def _kappa_m(fj: Jet2, gj: Jet2, u: float) -> float:
     p = -2.0 * fj.du * gj.du
-    if p <= 0.0:
-        raise AdmissibilityError("-f'*g' > 0", "u", u)
+    _require("-f'*g' > 0", p <= 0.0, "u", u)
     return (fj.du * gj.duu - gj.du * fj.duu) / p ** 1.5
 
 
@@ -99,8 +107,7 @@ def kappa_bar(phi: ProfileCurvePhi, v: float) -> float:
 
 def _kappa_bar(pj: Jet2, v: float) -> float:
     q = pj.dv * pj.dv + pj.val * pj.val
-    if q <= 0.0:
-        raise AdmissibilityError("phi'^2 + phi^2 > 0", "v", v)
+    _require("phi'^2 + phi^2 > 0", q <= 0.0, "v", v)
     return (pj.val * pj.dvv - 2.0 * pj.dv * pj.dv - pj.val * pj.val) / q ** 1.5
 
 
@@ -146,21 +153,20 @@ def parabolic_normal_frame(fp: ProfilePair, phi: ProfileCurvePhi):
         gj = profile_u(fp.g, u)
         pj = profile_v(phi.phi, v)
         p = -fj.du * gj.du
-        if p <= 0.0:
-            raise AdmissibilityError("-f'*g' > 0", "u", u)
+        _require("-f'*g' > 0", p <= 0.0, "u", u)
         q = pj.dv * pj.dv + pj.val * pj.val
-        if q <= 0.0:
-            raise AdmissibilityError("phi'^2 + phi^2 > 0", "v", v)
-        sv, cv = math.sin(v), math.cos(v)
+        _require("phi'^2 + phi^2 > 0", q <= 0.0, "v", v)
+        ops = elementary(u, v)
+        sv, cv = ops.sin(v), ops.cos(v)
         # Flipping n1 with the sign of f' keeps {z_u, z_v, n1, n2}
         # positively oriented on both admissibility branches.
-        r = math.copysign(1.0, fj.du) / math.sqrt(q)
+        r = ops.copysign(1.0, fj.du) / ops.sqrt(q)
         n1 = from_null_frame(NullFrameCoords(
             (pj.dv * sv + pj.val * cv) * r,
             (-pj.dv * cv + pj.val * sv) * r,
             pj.val * pj.val * r,
             0.0))
-        d = math.sqrt(-fj.du / (2.0 * gj.du))
+        d = ops.sqrt(-fj.du / (2.0 * gj.du))
         n2 = from_null_frame(NullFrameCoords(
             pj.val * cv * d,
             pj.val * sv * d,
@@ -220,7 +226,8 @@ class ParabolicFamily:
 
 @dataclass(frozen=True, slots=True)
 class ClosedForms:
-    """Reduced expressions for the parabolic family at one point."""
+    """Reduced expressions for the parabolic family at one point, or at
+    each point of equal-length (u, v) arrays."""
 
     E: float
     F: float
@@ -258,9 +265,10 @@ def parabolic_closed_forms(fp: ProfilePair, phi: ProfileCurvePhi,
     q = pj.dv * pj.dv + pj.val * pj.val
     f = fj.val
     g = f * f * q
-    w = math.sqrt(e * g)
-    sgn = math.copysign(1.0, fj.du)
-    root_e = math.sqrt(e)
+    ops = elementary(u, v)
+    w = ops.sqrt(e * g)
+    sgn = ops.copysign(1.0, fj.du)
+    root_e = ops.sqrt(e)
     return ClosedForms(
         E=e, F=0.0, G=g,
         L=0.0,

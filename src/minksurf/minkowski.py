@@ -8,6 +8,12 @@ basis {e1, e2, xi1, xi2} with two lightlike legs
     <xi1, xi1> = <xi2, xi2> = 0,    <xi1, xi2> = -1,
 
 is used by the rotational constructions with lightlike axis.
+
+Coordinates, and every scalar computed from them, are either Python
+floats (one point) or equal-length float64 arrays (many points).  The same
+lines of code serve both: :func:`elementary` looks up ``math`` or
+``numpy``, and :func:`first_failure` lets a guard fail if any element
+fails, naming the first failing element as a one-point call would.
 """
 
 from __future__ import annotations
@@ -15,10 +21,68 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import Error
 
 _SQRT_HALF = math.sqrt(0.5)
+
+# Elementary functions for one point and for arrays of points.  ``where``
+# picks element-wise between floats, arrays or whole vectors.
+_FLOAT_OPS = SimpleNamespace(
+    sin=math.sin, cos=math.cos, sinh=math.sinh, cosh=math.cosh,
+    exp=math.exp, log=math.log, sqrt=math.sqrt, copysign=math.copysign,
+    frexp=math.frexp, ldexp=math.ldexp, hypot=math.hypot, max=max,
+    where=lambda mask, a, b: a if mask else b)
+
+
+def _array_where(mask, a, b):
+    if isinstance(a, Vec4M):
+        return Vec4M(*(np.where(mask, x, y)
+                       for x, y in zip(a.coords(), b.coords())))
+    return np.where(mask, a, b)
+
+
+_ARRAY_OPS = SimpleNamespace(
+    sin=np.sin, cos=np.cos, sinh=np.sinh, cosh=np.cosh,
+    exp=np.exp, log=np.log, sqrt=np.sqrt, copysign=np.copysign,
+    frexp=np.frexp, ldexp=np.ldexp,
+    hypot=lambda *xs: reduce(np.hypot, xs),
+    max=lambda *xs: reduce(np.maximum, xs),
+    where=_array_where)
+
+
+def elementary(x, *more) -> SimpleNamespace:
+    """The elementary functions for these arguments: numpy when any of
+    them is an array, else math."""
+    if isinstance(x, np.ndarray):
+        return _ARRAY_OPS
+    for y in more:
+        if isinstance(y, np.ndarray):
+            return _ARRAY_OPS
+    return _FLOAT_OPS
+
+
+def first_failure(failed, *values):
+    """None when ``failed`` holds nowhere; else ``values`` at the first
+    element where it holds, as Python scalars.
+
+    ``failed`` is a bool or a bool array; each value is a float or an
+    array of the same length.
+    """
+    if failed is False:     # the common case of one point that passes
+        return None
+    if isinstance(failed, np.ndarray):
+        hits = np.flatnonzero(failed)
+        if not hits.size:
+            return None
+        i = hits[0]
+        return tuple(np.broadcast_to(x, failed.shape).reshape(-1)[i].item()
+                     for x in values)
+    return values if failed else None
 
 
 class CausalCharacter(Enum):
@@ -38,9 +102,20 @@ class Vec4M:
     x4: float
 
     def __post_init__(self):
-        for name in ("x1", "x2", "x3", "x4"):
-            if not math.isfinite(getattr(self, name)):
-                raise Error(f"non-finite coordinate {name}={getattr(self, name)!r}")
+        try:
+            if (math.isfinite(self.x1) and math.isfinite(self.x2)
+                    and math.isfinite(self.x3) and math.isfinite(self.x4)):
+                return
+        except TypeError:   # array coordinates
+            pass
+        # The first point with a non-finite coordinate, then its first
+        # such coordinate: the order a loop over points would find.
+        coords = self.coords()
+        finite = reduce(np.logical_and, map(np.isfinite, coords))
+        for name, x in zip(("x1", "x2", "x3", "x4"),
+                           first_failure(~finite, *coords) or ()):
+            if not math.isfinite(x):
+                raise Error(f"non-finite coordinate {name}={x!r}")
 
     def __add__(self, other: "Vec4M") -> "Vec4M":
         return Vec4M(self.x1 + other.x1, self.x2 + other.x2,
@@ -60,7 +135,8 @@ class Vec4M:
         return (self.x1, self.x2, self.x3, self.x4)
 
     def euclidean_norm(self) -> float:
-        return math.hypot(self.x1, self.x2, self.x3, self.x4)
+        coords = self.coords()
+        return elementary(*coords).hypot(*coords)
 
 
 E1 = Vec4M(1.0, 0.0, 0.0, 0.0)
@@ -87,20 +163,22 @@ def causal_character(v: Vec4M, tol: float = 1e-12) -> CausalCharacter:
     ZERO means exactly the zero vector.  Otherwise v is first rescaled by
     a power of two to unit order, and the lightlike test is relative to
     the squared Euclidean norm, so the classification is invariant under
-    positive rescaling and <v, v> cannot underflow.
+    positive rescaling and <v, v> cannot underflow.  For array
+    coordinates the result is an object array of characters.
     """
     if tol <= 0.0:
         raise Error(f"tolerance must be positive, got {tol!r}")
-    big = max(abs(x) for x in v.coords())
-    if big == 0.0:
-        return CausalCharacter.ZERO
-    shift = -math.frexp(big)[1]
-    v = Vec4M(*(math.ldexp(x, shift) for x in v.coords()))
-    n = v.euclidean_norm()
-    q = inner(v, v)
-    if abs(q) <= tol * n * n:
-        return CausalCharacter.LIGHTLIKE
-    return CausalCharacter.SPACELIKE if q > 0.0 else CausalCharacter.TIMELIKE
+    ops = elementary(*v.coords())
+    big = ops.max(*(abs(x) for x in v.coords()))
+    shift = -ops.frexp(big)[1]
+    w = Vec4M(*(ops.ldexp(x, shift) for x in v.coords()))
+    n = w.euclidean_norm()
+    q = inner(w, w)
+    return ops.where(
+        big == 0.0, CausalCharacter.ZERO,
+        ops.where(abs(q) <= tol * n * n, CausalCharacter.LIGHTLIKE,
+                  ops.where(q > 0.0, CausalCharacter.SPACELIKE,
+                            CausalCharacter.TIMELIKE)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,6 +16,12 @@ depend on them.  A surface family may install its own preferred frame on
 the patch (see :class:`SurfacePatch.frame`); the canonical construction
 projects e4 (always timelike in the normal space of a spacelike tangent
 plane) and the best of e3, e1, e2.
+
+Everything here takes (u, v) as floats or as equal-length float64 arrays
+and runs the same code for both (see :mod:`minksurf.minkowski`).  An array
+call computes every point at once.  A check fails if it fails at any
+point, with the message a one-point call gives at the first point where
+that check fails.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Optional, Union
 from .errors import DegenerateFrame, DomainError, NotSpacelike
 from .jets import Jet2, Jet2Vec4
 from .minkowski import (E1, E2, E3, E4, ZERO, CausalCharacter, Vec4M,
-                        causal_character, inner)
+                        causal_character, elementary, first_failure, inner)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +51,13 @@ class Interval:
         return self.hi - self.lo
 
     def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+        """Whether one float x lies in the interval."""
+        return not self.outside(x)
+
+    def outside(self, x: float) -> bool:
+        """True where x (a float or an array) is not in the interval;
+        NaN is never in it."""
+        return (x < self.lo) | (x > self.hi) | (x != x)
 
     def linspace(self, n: int, inset: float = 0.0) -> list[float]:
         """n evenly spaced samples, optionally inset from both ends.
@@ -91,12 +103,12 @@ class SurfacePatch:
 
 def jet_eval_surface(patch: SurfacePatch, u: float, v: float) -> Jet2Vec4:
     """Evaluate the immersion with (u, v) seeded as jet variables."""
-    if not patch.domain.u.contains(u):
-        raise DomainError("surface-eval", u,
-                          f"u in [{patch.domain.u.lo}, {patch.domain.u.hi}]")
-    if not patch.domain.v.contains(v):
-        raise DomainError("surface-eval", v,
-                          f"v in [{patch.domain.v.lo}, {patch.domain.v.hi}]")
+    dom = patch.domain
+    bad = first_failure(dom.u.outside(u) | dom.v.outside(v), u, v)
+    if bad:
+        name, x, iv = (("u", bad[0], dom.u) if dom.u.outside(bad[0])
+                       else ("v", bad[1], dom.v))
+        raise DomainError("surface-eval", x, f"{name} in [{iv.lo}, {iv.hi}]")
     return patch.immersion(Jet2.seed_u(u), Jet2.seed_v(v))
 
 
@@ -134,8 +146,11 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M,
     f = inner(z_u, z_v)
     g = inner(z_v, z_v)
     det2 = e * g - f * f
-    if e <= 0.0 or det2 <= 0.0:
-        raise NotSpacelike(f"tangent plane not spacelike: E={e!r}, EG-F^2={det2!r}")
+    bad = first_failure((e <= 0.0) | (det2 <= 0.0), e, det2)
+    if bad:
+        raise NotSpacelike("tangent plane not spacelike: E={!r}, EG-F^2={!r}"
+                           .format(*bad))
+    ops = elementary(e, det2)
 
     def project_normal(w: Vec4M) -> Vec4M:
         wu = inner(w, z_u)
@@ -146,30 +161,31 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M,
 
     nu = project_normal(E4)
     q = inner(nu, nu)
-    if q >= -tol:
+    bad = first_failure(q >= -tol, q)
+    if bad:
         raise DegenerateFrame(
-            f"normal space contains no timelike direction (<nu,nu>={q!r})")
-    n2 = nu.scale(1.0 / math.sqrt(-q))
+            "normal space contains no timelike direction (<nu,nu>={!r})"
+            .format(*bad))
+    n2 = nu.scale(1.0 / ops.sqrt(-q))
 
-    best: Vec4M | None = None
-    best_sq = -math.inf
+    best, best_sq = ZERO, -math.inf
     for w in (E3, E1, E2):
         mu = project_normal(w)
         mu = mu + n2.scale(inner(mu, n2))
         sq = inner(mu, mu)
-        if sq > best_sq:
-            best, best_sq = mu, sq
-    if best is None or best_sq <= tol:
+        better = sq > best_sq
+        best = ops.where(better, mu, best)
+        best_sq = ops.where(better, sq, best_sq)
+    if first_failure(best_sq <= tol, best_sq):
         raise DegenerateFrame("no spacelike normal direction found")
-    n1 = best.scale(1.0 / math.sqrt(best_sq))
-    if _det4(z_u, z_v, n1, n2) < 0.0:
-        n1 = -n1
-    return n1, n2
+    n1 = best.scale(1.0 / ops.sqrt(best_sq))
+    return ops.where(_det4(z_u, z_v, n1, n2) < 0.0, -n1, n1), n2
 
 
 @dataclass(frozen=True)
 class PointData:
-    """All pointwise geometry of an immersion at one (u, v)."""
+    """All pointwise geometry of an immersion at one (u, v), or at each
+    point of equal-length (u, v) arrays."""
 
     u: float
     v: float
@@ -246,26 +262,31 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     f = inner(z_u, z_v)
     g = inner(z_v, z_v)
     det2 = e * g - f * f
-    if e <= 0.0 or det2 <= 0.0:
+    bad = first_failure((e <= 0.0) | (det2 <= 0.0), u, v, e, det2)
+    if bad:
         raise NotSpacelike(
-            f"not spacelike at (u,v)=({u!r},{v!r}): E={e!r}, EG-F^2={det2!r}")
-    w = math.sqrt(det2)
+            "not spacelike at (u,v)=({!r},{!r}): E={!r}, EG-F^2={!r}"
+            .format(*bad))
+    ops = elementary(e, det2)
+    w = ops.sqrt(det2)
 
     if frame is None:
         n1, n2 = normal_frame(z_u, z_v)
     else:
         n1, n2 = frame(u, v) if callable(frame) else frame
-        su = math.sqrt(e)
-        sv = math.sqrt(g)
-        worst = max(
+        su = ops.sqrt(e)
+        sv = ops.sqrt(g)
+        worst = ops.max(
             abs(inner(n1, n1) - 1.0), abs(inner(n2, n2) + 1.0),
             abs(inner(n1, n2)),
             abs(inner(n1, z_u)) / su, abs(inner(n1, z_v)) / sv,
             abs(inner(n2, z_u)) / su, abs(inner(n2, z_v)) / sv,
         )
-        if worst > FRAME_TOL:
+        bad = first_failure(worst > FRAME_TOL, worst)
+        if bad:
             raise DegenerateFrame(
-                f"supplied frame is not orthonormal-normal (residual {worst:.3e})")
+                "supplied frame is not orthonormal-normal (residual {:.3e})"
+                .format(*bad))
 
     c11_1 = inner(z_uu, n1)
     c12_1 = inner(z_uv, n1)
@@ -296,8 +317,9 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     alpha = (g * tu - f * tv) / det2
     beta = (e * tv - f * tu) / det2
     h_vec = trace - z_u.scale(alpha) - z_v.scale(beta)
-    if h_vec.euclidean_norm() <= H_FLOOR * trace.euclidean_norm():
-        h_vec = ZERO
+    h_vec = ops.where(
+        h_vec.euclidean_norm() <= H_FLOOR * trace.euclidean_norm(),
+        ZERO, h_vec)
     h1 = inner(h_vec, n1)
     h2 = -inner(h_vec, n2)
 
@@ -340,5 +362,6 @@ def is_marginally_trapped(p: PointData, tol: float = 1e-9) -> bool:
 
     ``tol`` is the relative lightlike tolerance of :func:`causal_character`;
     H below the noise floor is exactly ZERO and never counts as trapped.
+    A bool array for array point data.
     """
-    return causal_character(p.H, tol) is CausalCharacter.LIGHTLIKE
+    return causal_character(p.H, tol) == CausalCharacter.LIGHTLIKE

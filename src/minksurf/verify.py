@@ -1,9 +1,11 @@
 """Grid-based certificates for the geometric claims about meridian surfaces.
 
-Every checker walks a deterministic sample grid, reduces a residual with
-max (or stdev where constancy is the claim) and returns a
+Every checker evaluates a deterministic sample grid, reduces a residual
+with max (or stdev where constancy is the claim) and returns a
 :class:`VerificationReport`; the report passes iff the residual stays
-within its threshold.  Claims are certified numerically at grid
+within its threshold and no explicit failure was recorded.  A grid
+certificate evaluates its whole grid in one array call of the surface
+engine and reduces it with numpy.  Claims are certified numerically at grid
 resolution, not symbolically; with exact jet derivatives the residuals are
 limited only by rounding, so thresholds around 1e-9 .. 1e-10 leave three
 to six orders of margin over the observed noise.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import reduce
 
 import numpy as np
 
@@ -49,6 +51,12 @@ class GridSpec:
             for v in self.v_range.linspace(self.v_samples):
                 yield u, v
 
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points of :meth:`points` as flat U, V arrays, same order."""
+        us = np.array(self.u_range.linspace(self.u_samples))
+        vs = np.array(self.v_range.linspace(self.v_samples))
+        return np.repeat(us, self.v_samples), np.tile(vs, self.u_samples)
+
     @staticmethod
     def for_patch(patch: SurfacePatch, nu: int, nv: int,
                   inset: float = 0.02) -> "GridSpec":
@@ -69,15 +77,17 @@ class VerificationReport:
     worst_point: tuple[float, float]
     samples: int
     details: dict = field(default_factory=dict)
+    failure: str = ""   # why the claim fails whatever the residual
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.threshold
+        return not self.failure and self.max_residual <= self.threshold
 
     def text_block(self) -> str:
         lines = [
             f"claim: {self.claim_id}",
             f"passed: {self.passed}",
+            *([f"failure: {self.failure}"] if self.failure else []),
             f"max_residual: {self.max_residual:.6e}",
             f"threshold: {self.threshold:.6e}",
             f"worst_point: ({self.worst_point[0]:.17g}, {self.worst_point[1]:.17g})",
@@ -88,19 +98,39 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class _Worst:
-    """Running max-residual reducer with its witness point."""
+def _grid_report(claim_id: str, residual, us, vs, threshold: float,
+                 details: dict | None = None,
+                 failure: str = "") -> VerificationReport:
+    """Report the largest residual over sample points and its witness.
 
-    def __init__(self):
-        self.value = 0.0
-        self.point = (math.nan, math.nan)
-        self.count = 0
+    ``residual`` is a float or an array broadcast over the points (us, vs).
+    The witness is the first point of the maximum, or the first NaN, which
+    then becomes the residual so the claim fails; it is (nan, nan) when
+    every residual is 0.
+    """
+    r = np.broadcast_to(residual, np.shape(us))
+    i = int(np.argmax(r))   # the first NaN, else the first maximum
+    worst = float(r[i])
+    if worst > 0.0 or math.isnan(worst):
+        point = (float(us[i]), float(vs[i]))
+    else:
+        worst, point = 0.0, (math.nan, math.nan)
+    return VerificationReport(claim_id, worst, threshold, point, r.size,
+                              details or {}, failure)
 
-    def update(self, residual: float, point: tuple[float, float]):
-        self.count += 1
-        if residual > self.value:
-            self.value = residual
-            self.point = point
+
+def _max(*residuals):
+    return reduce(np.maximum, residuals)
+
+
+def _rel(a, b):
+    """|a - b| relative to |b|, floored at 1."""
+    return abs(a - b) / np.maximum(abs(b), 1.0)
+
+
+def _positions(z: Vec4M, n: int) -> np.ndarray:
+    """The 4 x n matrix of n vectors, one per column."""
+    return np.stack([np.broadcast_to(x, (n,)) for x in z.coords()])
 
 
 def _require_parabolic(patch: SurfacePatch, op: str) -> None:
@@ -113,46 +143,31 @@ def verify_flat_normal_connection(patch: SurfacePatch, grid: GridSpec,
                                   tol: float = 1e-10) -> VerificationReport:
     """max |kappa_normal| over the grid; zero for every admissible family."""
     _require_parabolic(patch, "verify_flat_normal_connection")
-    worst = _Worst()
-    for u, v in grid.points():
-        p = point_data(patch, u, v)
-        worst.update(abs(p.kappa_normal), (u, v))
-    return VerificationReport("flat-normal-connection", worst.value, tol,
-                              worst.point, worst.count)
+    us, vs = grid.mesh()
+    p = point_data(patch, us, vs)
+    return _grid_report("flat-normal-connection", abs(p.kappa_normal),
+                        us, vs, tol)
 
 
 def verify_second_fundamental_form(family: ParabolicFamily, grid: GridSpec,
                                    tol: float = 1e-10) -> VerificationReport:
     """L and N vanish; M matches its reduced closed form (relative)."""
-    patch = family.patch()
-    worst = _Worst()
-    for u, v in grid.points():
-        p = point_data(patch, u, v)
-        cf = parabolic_closed_forms(family.fp, family.phi, u, v)
-        res = max(abs(p.L), abs(p.N),
-                  abs(p.M - cf.M) / max(abs(cf.M), 1.0))
-        worst.update(res, (u, v))
-    return VerificationReport("second-form-degenerate", worst.value, tol,
-                              worst.point, worst.count)
+    us, vs = grid.mesh()
+    p = point_data(family.patch(), us, vs)
+    cf = parabolic_closed_forms(family.fp, family.phi, us, vs)
+    res = _max(abs(p.L), abs(p.N), _rel(p.M, cf.M))
+    return _grid_report("second-form-degenerate", res, us, vs, tol)
 
 
 def verify_closed_form_invariants(family: ParabolicFamily, grid: GridSpec,
                                   tol: float = 1e-9) -> VerificationReport:
     """k, K, H1, H2 from jets against the reduced formulas (relative)."""
-    patch = family.patch()
-    worst = _Worst()
-    for u, v in grid.points():
-        p = point_data(patch, u, v)
-        cf = parabolic_closed_forms(family.fp, family.phi, u, v)
-        res = max(
-            abs(p.k - cf.k) / max(abs(cf.k), 1.0),
-            abs(p.K - cf.K) / max(abs(cf.K), 1.0),
-            abs(p.H1 - cf.H1) / max(abs(cf.H1), 1.0),
-            abs(p.H2 - cf.H2) / max(abs(cf.H2), 1.0),
-        )
-        worst.update(res, (u, v))
-    return VerificationReport("closed-form-invariants", worst.value, tol,
-                              worst.point, worst.count)
+    us, vs = grid.mesh()
+    p = point_data(family.patch(), us, vs)
+    cf = parabolic_closed_forms(family.fp, family.phi, us, vs)
+    res = _max(_rel(p.k, cf.k), _rel(p.K, cf.K), _rel(p.H1, cf.H1),
+               _rel(p.H2, cf.H2))
+    return _grid_report("closed-form-invariants", res, us, vs, tol)
 
 
 def verify_marginally_trapped(patch: SurfacePatch, grid: GridSpec,
@@ -164,17 +179,13 @@ def verify_marginally_trapped(patch: SurfacePatch, grid: GridSpec,
     report also carries min (H1^2 + H2^2)^(1/2) so callers can assert
     H != 0 separately.
     """
-    worst = _Worst()
-    min_h = math.inf
-    for u, v in grid.points():
-        p = point_data(patch, u, v)
-        scale = p.H1 * p.H1 + p.H2 * p.H2
-        res = abs(p.h_dot_h()) / max(scale, floor)
-        worst.update(res, (u, v))
-        min_h = min(min_h, math.sqrt(scale))
-    return VerificationReport("lightlike-mean-curvature", worst.value, tol,
-                              worst.point, worst.count,
-                              details={"min_H_norm": min_h})
+    us, vs = grid.mesh()
+    p = point_data(patch, us, vs)
+    scale = p.H1 * p.H1 + p.H2 * p.H2
+    res = abs(p.h_dot_h()) / np.maximum(scale, floor)
+    min_h = float(np.min(np.sqrt(np.broadcast_to(scale, us.shape))))
+    return _grid_report("lightlike-mean-curvature", res, us, vs, tol,
+                        details={"min_H_norm": min_h})
 
 
 def verify_ode_chain(params: MTFamilyParams, n_samples: int = 200,
@@ -191,10 +202,9 @@ def verify_ode_chain(params: MTFamilyParams, n_samples: int = 200,
     prof = mt_general_profile(params)
     s = params.sign_branch.value
     a = params.a
-    worst = _Worst()
-    subs = {"ode_residual": 0.0, "linear_residual": 0.0,
-            "gprime_residual": 0.0}
-    for u in prof.domain.linspace(n_samples, inset=0.01):
+    us = prof.domain.linspace(n_samples, inset=0.01)
+    subs = {"ode_residual": [], "linear_residual": [], "gprime_residual": []}
+    for u in us:
         gj = profile_u(prof.g, u)
         g1, g2 = gj.du, gj.duu
         rhs = s * a * (-2.0 * g1) ** 1.5
@@ -206,12 +216,13 @@ def verify_ode_chain(params: MTFamilyParams, n_samples: int = 200,
         r_lin = abs(h_prime + h / u + s * a / u) / scale
         want = mt_general_gprime(params, u)
         r_gp = abs(g1 - want) / max(1.0, abs(want))
-        subs["ode_residual"] = max(subs["ode_residual"], r_ode)
-        subs["linear_residual"] = max(subs["linear_residual"], r_lin)
-        subs["gprime_residual"] = max(subs["gprime_residual"], r_gp)
-        worst.update(max(r_ode, r_lin, r_gp), (u, 0.0))
-    return VerificationReport("profile-ode-chain", worst.value, tol,
-                              worst.point, worst.count, details=subs)
+        for key, r in zip(subs, (r_ode, r_lin, r_gp)):
+            subs[key].append(r)
+    res = _max(*map(np.array, subs.values()))
+    return _grid_report("profile-ode-chain", res, np.array(us),
+                        np.zeros(len(us)), tol,
+                        details={key: float(np.max(r))
+                                 for key, r in subs.items()})
 
 
 def verify_constant_section_curvature(A: float, B: float, C: float,
@@ -251,30 +262,19 @@ def verify_case1_hyperplane(phi: ProfileCurvePhi, fp: ProfilePair,
         if abs(kb) > kappa_tol:
             raise UsageError(
                 f"generating-curve curvature is not zero (kappa={kb!r} at v={v!r})")
-    patch = build_parabolic(fp, phi)
-    worst = _Worst()
-    n1_ref: Optional[Vec4M] = None
-    plane_ref = 0.0
-    trapped = 0
-    for u, v in grid.points():
-        p = point_data(patch, u, v)
-        if n1_ref is None:
-            n1_ref = p.n1
-            plane_ref = inner(p.z, n1_ref)
-        dev_frame = (p.n1 - n1_ref).euclidean_norm()
-        dev_plane = abs(inner(p.z, n1_ref) - plane_ref)
-        worst.update(max(dev_frame, dev_plane), (u, v))
-        if is_marginally_trapped(p):
-            trapped += 1
-    report = VerificationReport("zero-curvature-hyperplane", worst.value, tol,
-                                worst.point, worst.count,
-                                details={"trapped_points": float(trapped)})
-    if trapped:
-        # Force failure: a marginally trapped point contradicts the claim.
-        report = VerificationReport(report.claim_id, math.inf, tol,
-                                    report.worst_point, report.samples,
-                                    report.details)
-    return report
+    us, vs = grid.mesh()
+    p = point_data(build_parabolic(fp, phi), us, vs)
+    n1_ref = Vec4M(*_positions(p.n1, us.size)[:, 0].tolist())
+    plane_ref = inner(Vec4M(*_positions(p.z, us.size)[:, 0].tolist()), n1_ref)
+    dev_frame = (p.n1 - n1_ref).euclidean_norm()
+    dev_plane = abs(inner(p.z, n1_ref) - plane_ref)
+    trapped = int(np.count_nonzero(
+        np.broadcast_to(is_marginally_trapped(p), us.shape)))
+    # A marginally trapped point contradicts the claim.
+    return _grid_report(
+        "zero-curvature-hyperplane", np.maximum(dev_frame, dev_plane),
+        us, vs, tol, details={"trapped_points": float(trapped)},
+        failure=f"{trapped} marginally trapped points" if trapped else "")
 
 
 def verify_meridian_planarity(patch: SurfacePatch, phi: ProfileCurvePhi,
@@ -286,11 +286,9 @@ def verify_meridian_planarity(patch: SurfacePatch, phi: ProfileCurvePhi,
     p0 = profile_v(phi.phi, v0).val
     zbar = paraboloid_point(p0, v0)
     us = patch.domain.u.linspace(n_u_samples, inset=0.01)
-    z_ref = jet_eval_surface(patch, us[0], v0).value()
-    cols = [XI1.coords(), zbar.coords()]
-    for u in us[1:]:
-        cols.append((jet_eval_surface(patch, u, v0).value() - z_ref).coords())
-    sv = np.linalg.svd(np.array(cols).T, compute_uv=False)
+    z = _positions(jet_eval_surface(patch, np.array(us), v0).value(), len(us))
+    m = np.column_stack([XI1.coords(), zbar.coords(), z[:, 1:] - z[:, :1]])
+    sv = np.linalg.svd(m, compute_uv=False)
     ratio = float(sv[2] / sv[0])
     return VerificationReport("meridian-planarity", ratio, tol,
                               (us[-1], v0), len(us),
@@ -307,15 +305,9 @@ def verify_cone_lightlike_hyperplane(patch: SurfacePatch, grid: GridSpec,
     normal of the span.
     """
     _require_parabolic(patch, "verify_cone_lightlike_hyperplane")
-    pts = []
-    z_ref = None
-    for u, v in grid.points():
-        z = jet_eval_surface(patch, u, v).value()
-        if z_ref is None:
-            z_ref = z
-            continue
-        pts.append((z - z_ref).coords())
-    m = np.array(pts).T
+    us, vs = grid.mesh()
+    z = _positions(jet_eval_surface(patch, us, vs).value(), us.size)
+    m = z[:, 1:] - z[:, :1]
     u_mat, sv, _ = np.linalg.svd(m)
     rank_res = float(sv[3] / sv[0])
     ell = u_mat[:, 3]
@@ -325,7 +317,7 @@ def verify_cone_lightlike_hyperplane(patch: SurfacePatch, grid: GridSpec,
     light_res = abs(inner(normal, normal))
     return VerificationReport("cone-lightlike-hyperplane",
                               max(rank_res, light_res), tol,
-                              (grid.u_range.lo, grid.v_range.lo), len(pts),
+                              (grid.u_range.lo, grid.v_range.lo), m.shape[1],
                               details={"rank3_residual": rank_res,
                                        "normal_lightlike_residual": light_res})
 

@@ -5,12 +5,13 @@ import pytest
 from minksurf.cli import run_cli
 from minksurf.errors import SingularProjection
 from minksurf.exporters import (CSV_HEADER, DEFAULT_PROJECTION,
-                                export_grid_csv, export_obj, fmt)
+                                export_grid_csv, export_obj,
+                                export_positions_csv, fmt)
 from minksurf.expr import compile_profile
 from minksurf.errors import ExprError
 from minksurf.jets import Jet2
 from minksurf.meridian import ProfileCurvePhi, ProfilePair, build_parabolic
-from minksurf.surface import Interval, point_data
+from minksurf.surface import Interval, SurfacePatch, point_data
 from minksurf.verify import GridSpec
 
 MT_ARGS = ["family", "--type", "parabolic-mt", "--a", "-1", "--b", "0",
@@ -285,3 +286,64 @@ class TestCliCommands:
                                   "--csv", str(tmp_path / "no" / "dir.csv")])
         assert code == 2
         assert "io error" in capsys.readouterr().err
+
+
+class TestAtomicOutput:
+    """A failing run leaves no partial file and no temporary file."""
+
+    # Admissible at the 41 samples build_parabolic checks, but not
+    # spacelike between them.
+    REPRODUCER = ["invariants", "--f-expr", "2 + 0.001*sin(167.55*(u-0.5))",
+                  "--g-expr=-u", "--phi-expr", "2",
+                  "--u", "0.5:2:200", "--v", "0:6.283:5"]
+
+    def test_failed_export_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "q.csv"
+        assert run_cli(self.REPRODUCER + ["--csv", str(out)]) == 2
+        assert ("not spacelike at (u,v)=(0.5150753768844221,0.0)"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_export_keeps_an_existing_file(self, tmp_path):
+        out = tmp_path / "q.csv"
+        out.write_bytes(b"earlier output\n")
+        assert run_cli(self.REPRODUCER + ["--csv", str(out)]) == 2
+        assert out.read_bytes() == b"earlier output\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["q.csv"]
+
+    @pytest.mark.parametrize("export", ["positions", "obj"])
+    def test_position_exporters_are_atomic(self, tmp_path, export):
+        base = flat_patch()
+        calls = []
+
+        def failing(ju, jv):
+            calls.append(1)
+            if len(calls) == 5:
+                raise ExprError("fails mid-grid", 0)
+            return base.immersion(ju, jv)
+
+        patch = SurfacePatch(failing, base.domain, kind="parabolic")
+        grid = GridSpec(3, 3, Interval(0.6, 1.9), Interval(0.1, 6.0))
+        out = tmp_path / "m.out"
+        out.write_bytes(b"earlier output\n")
+        with pytest.raises(ExprError):
+            if export == "obj":
+                export_obj(patch, grid, DEFAULT_PROJECTION, str(out))
+            else:
+                export_positions_csv(patch, grid, str(out))
+        assert out.read_bytes() == b"earlier output\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.out"]
+
+    def test_success_replaces_the_target(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        out.write_text("stale\n")
+        assert run_cli(["section", "--A", "3", "--B", "4", "--C", "0",
+                        "--samples", "5", "--csv", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "v,phi,kappa_bar"
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_unwritable_directory_names_the_target(self, tmp_path, capsys):
+        target = tmp_path / "no" / "dir.csv"
+        assert run_cli(MT_ARGS + ["--u", "0.2:3:3", "--v", "0:6.283:3",
+                                  "--csv", str(target)]) == 2
+        assert str(target) in capsys.readouterr().err

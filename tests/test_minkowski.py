@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,28 @@ class TestCausalCharacter:
         if abs(q) < 1e-6 * n2 and abs(q) > 1e-14 * n2:
             return
         assert causal_character(v.scale(s), 1e-12) is base
+
+
+class TestArrays:
+    """Coordinates may be equal-length arrays: one vector per point."""
+
+    def test_non_finite_names_first_point_then_coordinate(self):
+        # Point 1 has a non-finite x2; point 2 a non-finite x1 as well.
+        with pytest.raises(Error, match=r"^non-finite coordinate x2=inf$"):
+            Vec4M(np.array([0.0, 1.0, math.nan]),
+                  np.array([0.0, math.inf, 0.0]), 0.0, 0.0)
+        v = Vec4M(np.array([1.0, 2.0]), 0.0, 0.0, 0.0)
+        assert v.euclidean_norm().tolist() == [1.0, 2.0]
+
+    def test_causal_character_per_element(self):
+        t = np.array([0.0, 1.0, 1.0, 1.0])
+        v = Vec4M(np.array([0.0, 1.0, 2.0, 0.5]), 0.0, 0.0, t)
+        want = [CausalCharacter.ZERO, CausalCharacter.LIGHTLIKE,
+                CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE]
+        assert causal_character(v).tolist() == want
+        for i, c in enumerate(want):
+            one = Vec4M(float(v.x1[i]), 0.0, 0.0, float(t[i]))
+            assert causal_character(one) is c
 
 
 class TestNullFrame:

@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from minksurf import jets
-from minksurf.errors import DegenerateFrame, DomainError, NotSpacelike
+from minksurf.errors import (AdmissibilityError, DegenerateFrame, DomainError,
+                             NotSpacelike)
+from minksurf.expr import compile_profile
 from minksurf.jets import Jet2, Jet2Vec4
 from minksurf.minkowski import (E1, E2, E3, E4, CausalCharacter, Vec4M,
                                 causal_character, inner, to_null_frame)
@@ -14,7 +17,8 @@ from minksurf.surface import (Interval, PointKind, Rect, SurfacePatch,
                               point_data_from_derivatives)
 from minksurf.meridian import (ProfileCurvePhi, ProfilePair, build_parabolic,
                                mt_cone_patch, mt_general_profile,
-                               MTFamilyParams)
+                               MTFamilyParams, parabolic_closed_forms)
+from minksurf.verify import GridSpec
 
 from fd_oracle import fd_point_data
 from helpers import random_parabolic_family
@@ -404,3 +408,138 @@ class TestNotSpacelike:
                              domain=Rect(Interval(-1, 1), Interval(-1, 1)))
         with pytest.raises(NotSpacelike):
             point_data(patch, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the engine on arrays of points
+# ---------------------------------------------------------------------------
+
+def _claim_suite_grids():
+    """The claim suite's generic 50x50 and general-family 100x20 grids."""
+    two_pi = 2.0 * math.pi
+    generic_fp = ProfilePair(f=lambda j: j, g=lambda j: -(j * j) * 0.5,
+                             domain=Interval(0.5, 2.0))
+    generic_phi = ProfileCurvePhi(phi=lambda j: 2.0 + jets.cos(j),
+                                  domain=Interval(0.0, two_pi))
+    generic = build_parabolic(generic_fp, generic_phi)
+    general_fp = mt_general_profile(MTFamilyParams(a=-1.0, b=0.0, c=1.0))
+    general_phi = ProfileCurvePhi(phi=lambda j: Jet2.constant(1.0),
+                                  domain=Interval(0.0, two_pi))
+    return [
+        (generic_fp, generic_phi, generic,
+         GridSpec.for_patch(generic, 50, 50)),
+        (general_fp, general_phi, build_parabolic(general_fp, general_phi),
+         GridSpec(100, 20, Interval(0.2, 3.0), Interval(0.0, two_pi))),
+    ]
+
+
+def _field_arrays(record, n: int) -> dict[str, np.ndarray]:
+    """Every scalar of a PointData or ClosedForms, broadcast to n points;
+    vectors contribute their four coordinates."""
+    out = {}
+    for name in record.__dataclass_fields__:
+        value = getattr(record, name)
+        parts = value.coords() if isinstance(value, Vec4M) else (value,)
+        for i, x in enumerate(parts):
+            out[f"{name}[{i}]"] = np.broadcast_to(np.asarray(x, float), (n,))
+    return out
+
+
+def _first_error(fn, points):
+    """The (type, message) the first failing per-point call raises."""
+    for u, v in points:
+        try:
+            fn(u, v)
+        except Exception as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no point fails")
+
+
+class TestArrayEngine:
+    """One array call runs the per-point code on every point at once."""
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["generic", "general"])
+    def test_point_data_is_bit_identical(self, case):
+        _, _, patch, grid = _claim_suite_grids()[case]
+        us, vs = grid.mesh()
+        batch = _field_arrays(point_data(patch, us, vs), us.size)
+        single = [_field_arrays(point_data(patch, u, v), 1)
+                  for u, v in grid.points()]
+        for name, got in batch.items():
+            want = np.concatenate([s[name] for s in single])
+            # tobytes: equal bits, so 0.0 and -0.0 differ too
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["generic", "general"])
+    def test_closed_forms_agree(self, case):
+        fp, phi, _, grid = _claim_suite_grids()[case]
+        us, vs = grid.mesh()
+        batch = _field_arrays(parabolic_closed_forms(fp, phi, us, vs),
+                              us.size)
+        single = [_field_arrays(parabolic_closed_forms(fp, phi, u, v), 1)
+                  for u, v in grid.points()]
+        for name, got in batch.items():
+            want = np.concatenate([s[name] for s in single])
+            scale = np.maximum(np.abs(want), np.finfo(float).tiny)
+            assert np.max(np.abs(got - want) / scale) <= 1e-15, name
+
+    def test_float_call_returns_python_floats(self, flat_patch):
+        # The exporters' per-point path must never turn into numpy scalars.
+        p = point_data(flat_patch, 1.2, 0.7)
+        assert type(p.K) is float and type(p.kappa_normal) is float
+        for vec in (p.H, p.n1, p.n2, p.z):
+            assert all(type(x) is float for x in vec.coords())
+        assert type(jet_eval_surface(flat_patch, 1.2, 0.7).x1.val) is float
+
+    def test_non_spacelike_point_raises_like_one_point(self):
+            # The profile leaves the spacelike range between the 41 samples
+        # that build_parabolic checks.
+        fp = ProfilePair(compile_profile("2 + 0.001*sin(167.55*(u-0.5))", "u"),
+                         compile_profile("-u", "u"), Interval(0.5, 2.0))
+        phi = ProfileCurvePhi(compile_profile("2", "v"), Interval(0.0, 6.283))
+        patch = build_parabolic(fp, phi)
+        grid = GridSpec(200, 5, Interval(0.5, 2.0), Interval(0.0, 6.283))
+        kind, message = _first_error(lambda u, v: point_data(patch, u, v),
+                                     grid.points())
+        assert kind is NotSpacelike
+        assert message.startswith(
+            "not spacelike at (u,v)=(0.5150753768844221,0.0)")
+        with pytest.raises(NotSpacelike) as err:
+            point_data(patch, *grid.mesh())
+        assert str(err.value) == message
+
+    def test_inadmissible_point_raises_like_one_point(self):
+            # g' = -(u - 1)(u - 1.2): -f'g' <= 0 on [1, 1.2] only.
+        fp = ProfilePair(f=lambda j: j,
+                         g=lambda j: -(j * j * j * (1.0 / 3.0)
+                                       - 1.1 * j * j + 1.2 * j),
+                         domain=Interval(0.5, 2.0))
+        phi = unit_phi()
+        grid = GridSpec(31, 4, Interval(0.5, 2.0), Interval(0.0, 6.0))
+        kind, message = _first_error(
+            lambda u, v: parabolic_closed_forms(fp, phi, u, v),
+            grid.points())
+        assert kind is AdmissibilityError and "u = 1.0" in message
+        with pytest.raises(AdmissibilityError) as err:
+            parabolic_closed_forms(fp, phi, *grid.mesh())
+        assert str(err.value) == message
+
+    def test_domain_errors_name_the_first_failing_value(self, flat_patch):
+        x = Jet2.seed_u(np.array([1.0, -2.0, 3.0, -4.0]))
+        with pytest.raises(DomainError, match=r"argument -2\.0 violates"):
+            jets.sqrt(x)
+        # v leaves the domain at the first point, u at the second.
+        with pytest.raises(DomainError) as err:
+            jet_eval_surface(flat_patch, np.array([1.0, 9.0]),
+                             np.array([9.0, 1.0]))
+        with pytest.raises(DomainError) as one:
+            jet_eval_surface(flat_patch, 1.0, 9.0)
+        assert str(err.value) == str(one.value)
+
+    def test_marginally_trapped_is_element_wise(self):
+        patch = mt_cone_patch(-0.5, 0.0, unit_phi())
+        us = np.array([0.6, 1.0, 2.0])
+        trapped = is_marginally_trapped(point_data(patch, us, us))
+        assert trapped.dtype == bool and trapped.all()
+        flat = build_parabolic(flat_pair(), unit_phi())
+        assert not is_marginally_trapped(point_data(flat, us, us)).any()

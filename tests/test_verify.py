@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from minksurf import jets
@@ -11,6 +12,7 @@ from minksurf.meridian import (MTFamilyParams, ParabolicFamily,
                                ProfileCurvePhi, ProfilePair, RootBranch,
                                SignBranch, build_elliptic, build_parabolic,
                                mt_cone_patch, mt_general_profile)
+from minksurf import verify
 from minksurf.verify import (GridSpec, VerificationReport, claim_suite,
                              render_reports, verify_case1_hyperplane,
                              verify_closed_form_invariants,
@@ -195,6 +197,27 @@ class TestCase1Hyperplane:
         assert report.passed
         assert report.details["trapped_points"] == 0.0
 
+    def test_trapped_points_fail_with_the_measured_residual(self,
+                                                           monkeypatch):
+        fp = ProfilePair(f=lambda j: j, g=lambda j: -(j ** 3) / 3.0,
+                         domain=Interval(0.5, 2.0))
+        grid = GridSpec(6, 5, Interval(0.55, 1.95), Interval(-1.15, 1.15))
+        clean = verify_case1_hyperplane(self.secant_phi(), fp, grid)
+        assert clean.passed and not clean.failure
+        assert "failure" not in clean.text_block()
+        # Report every other point as marginally trapped.
+        monkeypatch.setattr(verify, "is_marginally_trapped",
+                            lambda p: np.arange(p.u.size) % 2 == 0)
+        report = verify_case1_hyperplane(self.secant_phi(), fp, grid)
+        assert not report.passed
+        assert report.failure == "15 marginally trapped points"
+        assert report.details["trapped_points"] == 15.0
+        assert report.max_residual == clean.max_residual
+        assert report.worst_point == clean.worst_point
+        lines = report.text_block().splitlines()
+        assert lines[1:3] == ["passed: False",
+                              "failure: 15 marginally trapped points"]
+
     def test_guard_rejects_curved_profile(self):
         fp = ProfilePair(f=lambda j: j, g=lambda j: -j,
                          domain=Interval(0.5, 2.0))
@@ -324,6 +347,40 @@ class TestNegativeControls:
             patch, GridSpec.for_patch(patch, 8, 12), tol=1e-10)
         assert not report.passed
         assert report.max_residual >= 1e3 * report.threshold
+
+
+class TestGridReduction:
+    def test_mesh_matches_points(self):
+        grid = GridSpec(3, 4, Interval(0.1, 0.7), Interval(-1.0, 2.0))
+        us, vs = grid.mesh()
+        assert list(zip(us.tolist(), vs.tolist())) == list(grid.points())
+
+    def test_first_maximum_is_the_witness(self):
+        us, vs = np.arange(4.0), -np.arange(4.0)
+        report = verify._grid_report("demo", np.array([1e-16, 3e-16, 0.0,
+                                                       3e-16]),
+                                     us, vs, 1e-9)
+        assert (report.max_residual, report.worst_point) == (3e-16,
+                                                            (1.0, -1.0))
+        assert report.samples == 4 and report.passed
+
+    def test_all_zero_has_no_witness(self):
+        report = verify._grid_report("demo", 0.0, np.arange(3.0),
+                                     np.arange(3.0), 1e-9)
+        assert report.max_residual == 0.0 and report.samples == 3
+        assert all(math.isnan(x) for x in report.worst_point)
+
+    def test_nan_residual_fails(self):
+        # A NaN is not "<= threshold": it must reach max_residual, with
+        # the first NaN point as the witness, and fail the claim.
+        us, vs = np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0, 2.0, 3.0, 4.0])
+        report = verify._grid_report(
+            "demo", np.array([1e-16, math.nan, 2e-16, math.nan]), us, vs,
+            1e-9)
+        assert math.isnan(report.max_residual)
+        assert report.worst_point == (0.2, 2.0)
+        assert not report.passed
+        assert "max_residual: nan" in report.text_block()
 
 
 class TestDeterminismAndSuite:
