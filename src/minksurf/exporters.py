@@ -5,8 +5,10 @@ binary64 exactly; identical inputs therefore produce byte-identical files.
 Every file is written atomically: a run that fails leaves no partial file
 and does not touch a file already at the target path.
 
-The exporters evaluate one point at a time, so memory stays flat however
-large the grid is.
+The exporters evaluate one point at a time, so memory does not grow with
+the number of points.  It grows only with the profile memos of a
+parabolic patch (see :func:`~minksurf.meridian.build_parabolic`): one
+entry per distinct u and per distinct v, nu + nv on an nu x nv grid.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ as equal-length arrays, like the surface engine.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -139,25 +140,77 @@ def _check_phi(phi: ProfileCurvePhi, n: int = _CHECK_SAMPLES) -> None:
 # the parabolic meridian surface
 # ---------------------------------------------------------------------------
 
-def parabolic_normal_frame(fp: ProfilePair, phi: ProfileCurvePhi):
+_SLOTS = struct.Struct("6d")
+
+
+def _line_key(j: Jet2) -> Optional[bytes]:
+    """The bits of a one-point jet's six slots, or None for any other jet.
+
+    Bits rather than values, so +0.0 and -0.0 stay apart; only exact
+    floats, because an int or a numpy scalar with the same value can
+    round differently inside a profile.
+    """
+    slots = (j.val, j.du, j.dv, j.duu, j.duv, j.dvv)
+    for s in slots:
+        if type(s) is not float:
+            return None
+    return _SLOTS.pack(*slots)
+
+
+def _line_memo(evaluate: Callable[[Jet2], tuple]) -> Callable[[Jet2], tuple]:
+    """``evaluate`` with its results kept per one-point jet.
+
+    A one-point jet is looked up by its exact bits, so the memo holds one
+    entry per distinct jet asked for; array jets already cover a whole
+    grid and are evaluated directly.
+    """
+    hits: dict = {}
+
+    def line(j: Jet2) -> tuple:
+        key = _line_key(j)
+        hit = hits.get(key)
+        if hit is None:
+            hit = evaluate(j)
+            if key is not None:
+                hits[key] = hit
+        return hit
+
+    return line
+
+
+def _profile_lines(fp: ProfilePair, phi: ProfileCurvePhi):
+    """Memos of (f, g) per u jet and of (phi, cos v, sin v) per v jet.
+
+    f and g depend on u alone and phi on v alone, so the profile jets of
+    a grid point are those of its u line and of its v line.
+    """
+    return (_line_memo(lambda ju: (fp.f(ju), fp.g(ju))),
+            _line_memo(lambda jv: (phi.phi(jv), jets.cos(jv), jets.sin(jv))))
+
+
+def parabolic_normal_frame(fp: ProfilePair, phi: ProfileCurvePhi,
+                           _lines=None):
     """The family-adapted orthonormal normal frame of the parabolic surface.
 
     In this frame the second fundamental form degenerates (L = N = 0) and
     the closed-form invariants take their reduced shape.  It satisfies the
     same orientation conventions as the canonical frame: positively
     oriented with the tangents, n2 future-pointing.
+
+    :func:`build_parabolic` passes the patch's profile memos as ``_lines``,
+    so the frame reuses the jets its immersion evaluated at the point.
     """
+    u_line, v_line = _lines or _profile_lines(fp, phi)
 
     def frame(u: float, v: float) -> tuple[Vec4M, Vec4M]:
-        fj = profile_u(fp.f, u)
-        gj = profile_u(fp.g, u)
-        pj = profile_v(phi.phi, v)
+        fj, gj = u_line(Jet2.seed_u(u))
+        pj, cvj, svj = v_line(Jet2.seed_v(v))
         p = -fj.du * gj.du
         _require("-f'*g' > 0", p <= 0.0, "u", u)
         q = pj.dv * pj.dv + pj.val * pj.val
         _require("phi'^2 + phi^2 > 0", q <= 0.0, "v", v)
         ops = elementary(u, v)
-        sv, cv = ops.sin(v), ops.cos(v)
+        sv, cv = svj.val, cvj.val
         # Flipping n1 with the sign of f' keeps {z_u, z_v, n1, n2}
         # positively oriented on both admissibility branches.
         r = ops.copysign(1.0, fj.du) / ops.sqrt(q)
@@ -184,17 +237,17 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi,
     The profile inequalities are checked on a sample grid up front;
     violations raise :class:`AdmissibilityError` naming the inequality and
     the offending parameter value.  The resulting patch carries the
-    family-adapted normal frame.
+    family-adapted normal frame.  The immersion and the frame share one
+    memo of profile jets per u line and per v line, so a grid of nu x nv
+    points evaluates f and g nu times and phi nv times.
     """
     _check_parabolic_profiles(fp)
     _check_phi(phi)
+    u_line, v_line = _profile_lines(fp, phi)
 
     def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
-        fj = fp.f(ju)
-        gj = fp.g(ju)
-        pj = phi.phi(jv)
-        cv = jets.cos(jv)
-        sv = jets.sin(jv)
+        fj, gj = u_line(ju)
+        pj, cv, sv = v_line(jv)
         fphi = fj * pj
         return vec_from_null_jets(
             fphi * cv,
@@ -208,7 +261,7 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi,
         domain=Rect(fp.domain, phi.domain),
         label=label or "parabolic meridian surface",
         kind="parabolic",
-        frame=parabolic_normal_frame(fp, phi),
+        frame=parabolic_normal_frame(fp, phi, _lines=(u_line, v_line)),
     )
 
 

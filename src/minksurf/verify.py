@@ -61,12 +61,8 @@ class GridSpec:
     def for_patch(patch: SurfacePatch, nu: int, nv: int,
                   inset: float = 0.02) -> "GridSpec":
         return GridSpec(nu, nv,
-                        Interval(*_inset(patch.domain.u, inset)),
-                        Interval(*_inset(patch.domain.v, inset)))
-
-
-def _inset(iv: Interval, frac: float) -> tuple[float, float]:
-    return iv.lo + frac * iv.width, iv.hi - frac * iv.width
+                        Interval(*patch.domain.u.linspace(2, inset=inset)),
+                        Interval(*patch.domain.v.linspace(2, inset=inset)))
 
 
 @dataclass(frozen=True)

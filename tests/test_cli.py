@@ -10,7 +10,9 @@ from minksurf.exporters import (CSV_HEADER, DEFAULT_PROJECTION,
 from minksurf.expr import compile_profile
 from minksurf.errors import ExprError
 from minksurf.jets import Jet2
-from minksurf.meridian import ProfileCurvePhi, ProfilePair, build_parabolic
+from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
+                               ProfilePair, build_parabolic, mt_general_profile,
+                               plane_section_phi)
 from minksurf.surface import Interval, SurfacePatch, point_data
 from minksurf.verify import GridSpec
 
@@ -286,6 +288,67 @@ class TestCliCommands:
                                   "--csv", str(tmp_path / "no" / "dir.csv")])
         assert code == 2
         assert "io error" in capsys.readouterr().err
+
+
+def fresh_per_point(build) -> SurfacePatch:
+    """A patch that builds a new patch, with empty profile memos, for
+    every immersion and frame evaluation."""
+    first = build()
+    return SurfacePatch(
+        immersion=lambda ju, jv: build().immersion(ju, jv),
+        domain=first.domain, kind=first.kind,
+        frame=lambda u, v: build().frame(u, v))
+
+
+class TestPerLineMemoOutput:
+    """Exports from one patch match rows built per point, byte for byte."""
+
+    U, V = "0.4:2.5:7", "0.1:6.2:5"
+    GRID = GridSpec(7, 5, Interval(0.4, 2.5), Interval(0.1, 6.2))
+
+    def test_sample_csv_and_obj(self, tmp_path):
+        exprs = {"f": "1.5 + exp(-u)", "g": "u + u^3/3",
+                 "phi": "2 + 0.5*sin(v)*exp(-v/4)"}
+        code = run_cli(["sample", "--f-expr", exprs["f"],
+                        "--g-expr=" + exprs["g"], "--phi-expr", exprs["phi"],
+                        "--u", self.U, "--v", self.V,
+                        "--csv", str(tmp_path / "s.csv"),
+                        "--obj", str(tmp_path / "s.obj")])
+        assert code == 0
+
+        def build():
+            fp = ProfilePair(compile_profile(exprs["f"], "u"),
+                             compile_profile(exprs["g"], "u"),
+                             self.GRID.u_range)
+            phi = ProfileCurvePhi(compile_profile(exprs["phi"], "v"),
+                                  self.GRID.v_range)
+            return build_parabolic(fp, phi)
+
+        ref = fresh_per_point(build)
+        export_positions_csv(ref, self.GRID, str(tmp_path / "r.csv"))
+        export_obj(ref, self.GRID, DEFAULT_PROJECTION, str(tmp_path / "r.obj"))
+        for ext in ("csv", "obj"):
+            assert ((tmp_path / f"s.{ext}").read_bytes()
+                    == (tmp_path / f"r.{ext}").read_bytes())
+
+    def test_family_csv(self, tmp_path):
+        code = run_cli(MT_ARGS + ["--u", self.U, "--v", self.V,
+                                  "--csv", str(tmp_path / "f.csv")])
+        assert code == 0
+
+        def build():
+            params = MTFamilyParams(a=-1.0, b=0.0, c=1.0,
+                                    section=PlaneSection(0.0, 0.0, -0.5))
+            prof = mt_general_profile(params)
+            fp = ProfilePair(prof.f, prof.g, self.GRID.u_range)
+            phi = ProfileCurvePhi(plane_section_phi(0.0, 0.0, -0.5).phi,
+                                  self.GRID.v_range)
+            return build_parabolic(fp, phi)
+
+        export_grid_csv(fresh_per_point(build), self.GRID,
+                        str(tmp_path / "r.csv"))
+        assert ((tmp_path / "f.csv").read_bytes()
+                == (tmp_path / "r.csv").read_bytes())
 
 
 class TestAtomicOutput:

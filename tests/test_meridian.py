@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,7 +11,9 @@ from minksurf.errors import (AdmissibilityError, CurvatureMismatch,
 from minksurf.jets import Jet2
 from minksurf.minkowski import (E1, E2, XI1, XI2, NullFrameCoords, Vec4M,
                                 from_null_frame, inner, to_null_frame)
+from minksurf.exporters import export_grid_csv
 from minksurf.surface import Interval, point_data, jet_eval_surface
+from minksurf.verify import GridSpec
 from minksurf.meridian import (MTFamilyParams, ParaboloidCurve, PlaneSection,
                                ProfileCurvePhi, ProfilePair, RootBranch,
                                SignBranch, build_elliptic, build_hyperbolic,
@@ -499,3 +502,89 @@ class TestClosedFormsAgainstEngine:
         cf = parabolic_closed_forms(fp, phi, 0.5, 1.0)
         for name in ("M", "k", "K", "H1", "H2"):
             assert abs(getattr(p, name) - getattr(cf, name)) <= 1e-10
+
+
+def _bits(x):
+    """Every float of a PointData, Jet2Vec4 or Vec4M as exact hex bits."""
+    if dataclasses.is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return tuple(float(y).hex() for y in x)
+    return float(x).hex()
+
+
+def _general_family():
+    params = MTFamilyParams(a=-1.0, b=0.3, c=1.0,
+                            section=PlaneSection(0.0, 0.0, -0.5))
+    prof = mt_general_profile(params)
+    return (ProfilePair(prof.f, prof.g, Interval(0.2, 3.0)),
+            ProfileCurvePhi(plane_section_phi(0.0, 0.0, -0.5).phi,
+                            Interval(0.0, TWO_PI)))
+
+
+class TestProfileLineMemo:
+    """build_parabolic evaluates each profile once per grid line; the
+    results are those of a fresh patch per point, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_shuffled_grid_matches_fresh_patches(self, seed):
+        family = random_parabolic_family(random.Random(seed))
+        patch = family.patch()
+        points = list(GridSpec.for_patch(patch, 6, 5).points())
+        random.Random(seed).shuffle(points)
+        for u, v in points + points[:3]:
+            fresh = point_data(family.patch(), u, v)
+            assert _bits(point_data(patch, u, v)) == _bits(fresh), (u, v)
+
+    def test_reparametrised_jet_is_not_served_a_seed_entry(self):
+        fp, phi = _general_family()
+        patch = build_parabolic(fp, phi)
+        ju, jv = Jet2.seed_u(1.3), Jet2.seed_v(0.7)
+        patch.immersion(ju, jv)
+        point_data(patch, 1.3, 0.7)
+        got = patch.immersion(ju, jv * 2.0)
+        want = build_parabolic(fp, phi).immersion(ju, jv * 2.0)
+        assert _bits(got) == _bits(want)
+        assert got.x1.dv != patch.immersion(ju, jv).x1.dv
+
+    def test_signed_zeros_are_kept_apart(self):
+        def phi_fn(jv):
+            return Jet2.constant(2.0 + math.copysign(0.5, jv.val))
+        patch = build_parabolic(identity_pair(),
+                                ProfileCurvePhi(phi_fn, Interval(-1.0, 1.0)))
+        plus = patch.immersion(Jet2.seed_u(1.0), Jet2.seed_v(0.0))
+        minus = patch.immersion(Jet2.seed_u(1.0), Jet2.seed_v(-0.0))
+        assert plus.x1.val == 2.5 and minus.x1.val == 1.5
+
+    def test_array_point_data_is_unchanged(self):
+        fp, phi = _general_family()
+        patch = build_parabolic(fp, phi)
+        grid = GridSpec.for_patch(patch, 5, 4)
+        us, vs = grid.mesh()
+        before = _bits(point_data(patch, us, vs))
+        for u, v in grid.points():
+            point_data(patch, u, v)
+        assert _bits(point_data(patch, us, vs)) == before
+        assert before == _bits(point_data(build_parabolic(fp, phi), us, vs))
+
+    def test_export_evaluates_each_profile_once_per_line(self, tmp_path):
+        base_fp, base_phi = _general_family()
+        calls = {"f": 0, "g": 0, "phi": 0}
+
+        def counting(name, fn):
+            def wrapped(j):
+                calls[name] += 1
+                return fn(j)
+            return wrapped
+
+        fp = ProfilePair(counting("f", base_fp.f), counting("g", base_fp.g),
+                         base_fp.domain)
+        phi = ProfileCurvePhi(counting("phi", base_phi.phi), base_phi.domain)
+        patch = build_parabolic(fp, phi)
+        admissibility = dict(calls)
+        assert admissibility == {"f": 41, "g": 41, "phi": 41}
+        nu, nv = 9, 7
+        export_grid_csv(patch, GridSpec.for_patch(patch, nu, nv),
+                        str(tmp_path / "grid.csv"))
+        assert {k: calls[k] - admissibility[k] for k in calls} == {
+            "f": nu, "g": nu, "phi": nv}
