@@ -24,7 +24,7 @@ from .errors import Error, ExprError, UsageError
 from .expr import compile_profile
 from .meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                        ProfilePair, RootBranch, SignBranch, build_parabolic,
-                       kappa_bar, mt_cone_patch, mt_general_profile,
+                       kappa_bar_of_jet, mt_cone_patch, mt_general_profile,
                        plane_section_curvature, plane_section_phi, profile_v)
 from .surface import Interval
 from .verify import GridSpec, claim_suite, render_reports
@@ -184,13 +184,13 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_section(args) -> int:
-    phi = plane_section_phi(args.A, args.B, args.C,
-                            _parse_branch(args.root, RootBranch, "--root"))
-    curvature = plane_section_curvature(args.A, args.B, args.C,
-                                        _parse_branch(args.root, RootBranch,
-                                                      "--root"))
+    root = _parse_branch(args.root, RootBranch, "--root")
+    phi = plane_section_phi(args.A, args.B, args.C, root)
+    curvature = plane_section_curvature(args.A, args.B, args.C, root)
     vs = phi.domain.linspace(args.samples, inset=0.02)
-    values = [kappa_bar(phi, v) for v in vs]
+    # One float jet per sample feeds both the curvature and the CSV row.
+    phis = [profile_v(phi.phi, v) for v in vs]
+    values = [kappa_bar_of_jet(pj, v) for pj, v in zip(phis, vs)]
     mean = sum(values) / len(values)
     print(f"domain: [{exporters.fmt(phi.domain.lo)}, {exporters.fmt(phi.domain.hi)}]")
     print(f"curvature: {exporters.fmt(curvature)}")
@@ -200,9 +200,9 @@ def _cmd_section(args) -> int:
     if args.csv:
         with exporters.atomic_writer(args.csv) as fh:
             fh.write("v,phi,kappa_bar\n")
-            for v, kb in zip(vs, values):
-                p = profile_v(phi.phi, v).val
-                fh.write(",".join(exporters.fmt(x) for x in (v, p, kb)) + "\n")
+            for v, pj, kb in zip(vs, phis, values):
+                fh.write(",".join(exporters.fmt(x) for x in (v, pj.val, kb))
+                         + "\n")
         print(f"wrote {len(vs)} rows to {args.csv}", file=sys.stderr)
     return 0
 

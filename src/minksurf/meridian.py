@@ -64,9 +64,8 @@ class SignBranch(Enum):
     MINUS = -1.0
 
 
-class RootBranch(Enum):
-    PLUS = 1.0
-    MINUS = -1.0
+# The root choice of a plane section is the same plus/minus choice.
+RootBranch = SignBranch
 
 
 def profile_u(fn: ProfileFn, u: float) -> Jet2:
@@ -103,10 +102,11 @@ def _kappa_m(fj: Jet2, gj: Jet2, u: float) -> float:
 def kappa_bar(phi: ProfileCurvePhi, v: float) -> float:
     """Curvature of the generating curve:
     (phi*phi'' - 2 phi'^2 - phi^2) / (phi'^2 + phi^2)^(3/2)."""
-    return _kappa_bar(profile_v(phi.phi, v), v)
+    return kappa_bar_of_jet(profile_v(phi.phi, v), v)
 
 
-def _kappa_bar(pj: Jet2, v: float) -> float:
+def kappa_bar_of_jet(pj: Jet2, v: float) -> float:
+    """:func:`kappa_bar` from phi's jet ``pj``, already evaluated at v."""
     q = pj.dv * pj.dv + pj.val * pj.val
     _require("phi'^2 + phi^2 > 0", q <= 0.0, "v", v)
     return (pj.val * pj.dvv - 2.0 * pj.dv * pj.dv - pj.val * pj.val) / q ** 1.5
@@ -119,18 +119,20 @@ def _kappa_bar(pj: Jet2, v: float) -> float:
 _CHECK_SAMPLES = 41
 
 
-def _check_parabolic_profiles(fp: ProfilePair, n: int = _CHECK_SAMPLES) -> None:
-    for u in fp.domain.linspace(n):
+def _check_profile_pair(fp: ProfilePair, inequality: str,
+                        holds: Callable[[float, float], bool]) -> None:
+    """f > 0 and ``holds(f', g')`` at each sample, f > 0 checked first."""
+    for u in fp.domain.linspace(_CHECK_SAMPLES):
         fj = profile_u(fp.f, u)
         gj = profile_u(fp.g, u)
         if not fj.val > 0.0:
             raise AdmissibilityError("f > 0", "u", u)
-        if not -fj.du * gj.du > 0.0:
-            raise AdmissibilityError("-f'*g' > 0", "u", u)
+        if not holds(fj.du, gj.du):
+            raise AdmissibilityError(inequality, "u", u)
 
 
-def _check_phi(phi: ProfileCurvePhi, n: int = _CHECK_SAMPLES) -> None:
-    for v in phi.domain.linspace(n):
+def _check_phi(phi: ProfileCurvePhi) -> None:
+    for v in phi.domain.linspace(_CHECK_SAMPLES):
         pj = profile_v(phi.phi, v)
         if not pj.dv * pj.dv + pj.val * pj.val > 0.0:
             raise AdmissibilityError("phi'^2 + phi^2 > 0", "v", v)
@@ -241,7 +243,7 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi,
     memo of profile jets per u line and per v line, so a grid of nu x nv
     points evaluates f and g nu times and phi nv times.
     """
-    _check_parabolic_profiles(fp)
+    _check_profile_pair(fp, "-f'*g' > 0", lambda f1, g1: -f1 * g1 > 0.0)
     _check_phi(phi)
     u_line, v_line = _profile_lines(fp, phi)
 
@@ -313,7 +315,7 @@ def parabolic_closed_forms(fp: ProfilePair, phi: ProfileCurvePhi,
     gj = profile_u(fp.g, u)
     pj = profile_v(phi.phi, v)
     km = _kappa_m(fj, gj, u)
-    kb = _kappa_bar(pj, v)
+    kb = kappa_bar_of_jet(pj, v)
     e = -2.0 * fj.du * gj.du
     q = pj.dv * pj.dv + pj.val * pj.val
     f = fj.val
@@ -367,13 +369,8 @@ def build_elliptic(fp: ProfilePair, w1: ProfileFn, w2: ProfileFn,
     Rotation of the profile about the e4 axis; requires f > 0 and
     f'^2 - g'^2 > 0.
     """
-    for u in fp.domain.linspace(_CHECK_SAMPLES):
-        fj = profile_u(fp.f, u)
-        gj = profile_u(fp.g, u)
-        if not fj.val > 0.0:
-            raise AdmissibilityError("f > 0", "u", u)
-        if not fj.du * fj.du - gj.du * gj.du > 0.0:
-            raise AdmissibilityError("f'^2 - g'^2 > 0", "u", u)
+    _check_profile_pair(fp, "f'^2 - g'^2 > 0",
+                        lambda f1, g1: f1 * f1 - g1 * g1 > 0.0)
     _check_rotation_params(w1, w2, v_domain)
 
     def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
@@ -400,13 +397,8 @@ def build_hyperbolic(fp: ProfilePair, w1: ProfileFn, w2: ProfileFn,
     Rotation of the profile about the e1 axis; requires f > 0 and
     f'^2 + g'^2 > 0.
     """
-    for u in fp.domain.linspace(_CHECK_SAMPLES):
-        fj = profile_u(fp.f, u)
-        gj = profile_u(fp.g, u)
-        if not fj.val > 0.0:
-            raise AdmissibilityError("f > 0", "u", u)
-        if not fj.du * fj.du + gj.du * gj.du > 0.0:
-            raise AdmissibilityError("f'^2 + g'^2 > 0", "u", u)
+    _check_profile_pair(fp, "f'^2 + g'^2 > 0",
+                        lambda f1, g1: f1 * f1 + g1 * g1 > 0.0)
     _check_rotation_params(w1, w2, v_domain)
 
     def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
@@ -519,30 +511,30 @@ def mt_general_profile(params: MTFamilyParams,
 def mt_general_gprime(params: MTFamilyParams, u: float) -> float:
     """Closed form of the general family's g': -u^2 / (2 (c -+ a u)^2)."""
     q = params.c - params.sign_branch.value * params.a * u
-    if q == 0.0:
-        raise ParamError(f"u = {u!r} is the profile pole")
+    bad = first_failure(q == 0.0, u)
+    if bad:
+        raise ParamError("u = {!r} is the profile pole".format(*bad))
     return -u * u / (2.0 * q * q)
 
 
 def mt_cone_patch(a: float, b: float, phi: ProfileCurvePhi,
                   u_range: Interval = Interval(0.05, 5.0),
-                  curvature_tol: float = 1e-9,
-                  samples: int = 201,
                   label: str = "") -> SurfacePatch:
     """Straight-meridian (cone) family: f = u, g = a u + b with a < 0.
 
     Requires the generating curve's squared curvature to equal -1/(2a)
     everywhere, which is exactly the condition for the mean curvature
-    vector to be lightlike on the whole cone.
+    vector to be lightlike on the whole cone; it is checked to 1e-9 at
+    201 samples of phi.
     """
     if a >= 0.0:
         raise ParamError(f"a must be negative, got {a!r}")
     target = -1.0 / (2.0 * a)
     worst = 0.0
-    for v in phi.domain.linspace(samples):
+    for v in phi.domain.linspace(201):
         kb = kappa_bar(phi, v)
         worst = max(worst, abs(kb * kb - target))
-    if worst > curvature_tol:
+    if worst > 1e-9:
         raise CurvatureMismatch(worst)
     fp = ProfilePair(f=lambda ju: ju,
                      g=lambda ju: a * ju + b,
@@ -565,9 +557,16 @@ def _theta_jet(a: float, b: float, jv: Jet2) -> Jet2:
     return a * jets.cos(jv) + b * jets.sin(jv)
 
 
+def _section_span(A: float, B: float, C: float) -> float:
+    span = A * A + B * B - 2.0 * C
+    if span <= 0.0:
+        raise ParamError(f"A^2 + B^2 - 2C = {span!r} must be > 0")
+    return span
+
+
 def plane_section_phi(A: float, B: float, C: float,
-                      root_branch: RootBranch = RootBranch.PLUS,
-                      eps: float = 1e-12) -> ProfileCurvePhi:
+                      root_branch: RootBranch = RootBranch.PLUS
+                      ) -> ProfileCurvePhi:
     """Generating profile cut out of the paraboloid by a plane.
 
     Solves w1^2/2 + theta(v) w1 + C = 0 for w1 = phi(v), where
@@ -577,7 +576,7 @@ def plane_section_phi(A: float, B: float, C: float,
 
     * C > 0: the section splits into two arcs over the v-intervals where
       theta^2 >= 2C.  The returned domain is the arc around the maximum
-      of theta (theta > 0), shrunk so theta^2 - 2C >= eps; the two roots
+      of theta (theta > 0), shrunk so theta^2 - 2C >= 1e-12; the two roots
       give the two arcs' profiles there.
     * C < 0: both roots are admissible for every v; one period is
       returned.
@@ -586,9 +585,7 @@ def plane_section_phi(A: float, B: float, C: float,
       returned for either branch, valid on a full period.
     """
     s_branch = root_branch.value
-    span = A * A + B * B - 2.0 * C
-    if span <= 0.0:
-        raise ParamError(f"A^2 + B^2 - 2C = {span!r} must be > 0")
+    _section_span(A, B, C)
     radius = math.hypot(A, B)
     v0 = math.atan2(B, A)
 
@@ -602,8 +599,8 @@ def plane_section_phi(A: float, B: float, C: float,
             return -th + s_branch * jets.sqrt(th * th - 2.0 * C)
         domain = Interval(v0, v0 + 2.0 * math.pi)
     else:
-        # theta = radius * cos(v - v0); keep theta^2 - 2C >= eps.
-        ratio = math.sqrt(2.0 * C + eps) / radius
+        # theta = radius * cos(v - v0); keep theta^2 - 2C >= 1e-12.
+        ratio = math.sqrt(2.0 * C + 1e-12) / radius
         if ratio >= 1.0:
             raise ParamError(
                 f"admissible arc is empty for A={A!r}, B={B!r}, C={C!r}")
@@ -627,10 +624,7 @@ def plane_section_curvature(A: float, B: float, C: float,
     sign for C > 0; the pairing is asserted against :func:`kappa_bar` by
     the test suite.
     """
-    span = A * A + B * B - 2.0 * C
-    if span <= 0.0:
-        raise ParamError(f"A^2 + B^2 - 2C = {span!r} must be > 0")
-    root = 1.0 / math.sqrt(span)
+    root = 1.0 / math.sqrt(_section_span(A, B, C))
     if C > 0.0:
         return root_branch.value * root
     return -root
@@ -648,6 +642,14 @@ def section_constraint_residual(A: float, B: float, C: float,
 # the generating curve on the paraboloid
 # ---------------------------------------------------------------------------
 
+def _zbar_jets(phi: ProfileCurvePhi, v: float) -> Jet2Vec4:
+    """Jets in v of z(v) = phi cos v e1 + phi sin v e2 + phi^2/2 xi1 + xi2."""
+    jv = Jet2.seed_v(v)
+    pj = phi.phi(jv)
+    return vec_from_null_jets(pj * jets.cos(jv), pj * jets.sin(jv),
+                              pj * pj * 0.5, Jet2.constant(1.0))
+
+
 def cbar_frenet(phi: ProfileCurvePhi, v: float) -> tuple[Vec4M, Vec4M, float]:
     """Position, unit tangent and curvature of the generating curve.
 
@@ -655,11 +657,7 @@ def cbar_frenet(phi: ProfileCurvePhi, v: float) -> tuple[Vec4M, Vec4M, float]:
     on the paraboloid (its position vector is lightlike) and is spacelike;
     its curvature equals :func:`kappa_bar`.
     """
-    jv = Jet2.seed_v(v)
-    pj = phi.phi(jv)
-    cv, sv = jets.cos(jv), jets.sin(jv)
-    zbar = vec_from_null_jets(pj * cv, pj * sv, pj * pj * 0.5,
-                              Jet2.constant(1.0))
+    zbar = _zbar_jets(phi, v)
     tangent = zbar.d_v()
     speed_sq = inner(tangent, tangent)
     if speed_sq <= 0.0:
@@ -686,21 +684,17 @@ class ParaboloidCurve:
     phi: ProfileCurvePhi
 
     def point(self, v: float) -> Vec4M:
-        return paraboloid_point(profile_v(self.phi.phi, v).val, v)
+        return meridian_plane(self.phi, v)[1]
 
     def frenet(self, v: float) -> tuple[Vec4M, Vec4M, float]:
         return cbar_frenet(self.phi, v)
 
-    def normal(self, v: float, tol: float = 1e-12) -> Vec4M:
-        """Unit Frenet normal: dt/ds = kappa * n; needs kappa != 0."""
+    def normal(self, v: float) -> Vec4M:
+        """Unit Frenet normal: dt/ds = kappa * n; needs |kappa| > 1e-12."""
         kb = kappa_bar(self.phi, v)
-        if abs(kb) <= tol:
+        if abs(kb) <= 1e-12:
             raise AdmissibilityError("kappa_bar != 0", "v", v)
-        jv = Jet2.seed_v(v)
-        pj = self.phi.phi(jv)
-        cv, sv = jets.cos(jv), jets.sin(jv)
-        zbar = vec_from_null_jets(pj * cv, pj * sv, pj * pj * 0.5,
-                                  Jet2.constant(1.0))
+        zbar = _zbar_jets(self.phi, v)
         w = zbar.d_v()
         acc = zbar.d_vv()
         speed_sq = inner(w, w)

@@ -132,8 +132,7 @@ def _det4(a: Vec4M, b: Vec4M, c: Vec4M, d: Vec4M) -> float:
     return det
 
 
-def normal_frame(z_u: Vec4M, z_v: Vec4M,
-                 tol: float = 1e-12) -> tuple[Vec4M, Vec4M]:
+def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     """Orthonormal normal frame of a spacelike tangent plane.
 
     n2 is the normalized normal projection of e4; for a spacelike tangent
@@ -161,7 +160,7 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M,
 
     nu = project_normal(E4)
     q = inner(nu, nu)
-    bad = first_failure(q >= -tol, q)
+    bad = first_failure(q >= -NORMAL_TOL, q)
     if bad:
         raise DegenerateFrame(
             "normal space contains no timelike direction (<nu,nu>={!r})"
@@ -176,7 +175,7 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M,
         better = sq > best_sq
         best = ops.where(better, mu, best)
         best_sq = ops.where(better, sq, best_sq)
-    if first_failure(best_sq <= tol, best_sq):
+    if first_failure(best_sq <= NORMAL_TOL, best_sq):
         raise DegenerateFrame("no spacelike normal direction found")
     n1 = best.scale(1.0 / ops.sqrt(best_sq))
     return ops.where(_det4(z_u, z_v, n1, n2) < 0.0, -n1, n1), n2
@@ -226,6 +225,8 @@ FrameLike = Union[FrameFn, tuple[Vec4M, Vec4M], None]
 
 # Largest orthonormality or normality residual accepted in a supplied frame.
 FRAME_TOL = 1e-8
+# Smallest |<w, w>| accepted for a normal direction of the canonical frame.
+NORMAL_TOL = 1e-12
 # H is set to exactly ZERO when |H| <= H_FLOOR * |trace| (Euclidean norms):
 # below that it is rounding noise of the normal projection, and the ratio
 # does not change when the immersion is rescaled.
@@ -344,8 +345,10 @@ class PointClass:
     asymptotic_tangents: Optional[int]  # None at flat points
 
 
-def classify_point(p: PointData, tol: float = 1e-10) -> PointClass:
-    """Flat-point test and asymptotic-tangent count by the sign of k."""
+def classify_point(p: PointData) -> PointClass:
+    """Flat-point test and asymptotic-tangent count by the sign of k;
+    L, M, N and k within 1e-10 of 0 count as 0."""
+    tol = 1e-10
     if max(abs(p.L), abs(p.M), abs(p.N)) <= tol:
         return PointClass(PointKind.FLAT_POINT, None)
     if p.k < -tol:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from minksurf import cli
 from minksurf.cli import run_cli
 from minksurf.errors import SingularProjection
 from minksurf.exporters import (CSV_HEADER, DEFAULT_PROJECTION,
@@ -11,8 +12,9 @@ from minksurf.expr import compile_profile
 from minksurf.errors import ExprError
 from minksurf.jets import Jet2
 from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
-                               ProfilePair, build_parabolic, mt_general_profile,
-                               plane_section_phi)
+                               ProfilePair, build_parabolic, kappa_bar,
+                               mt_general_profile, plane_section_phi,
+                               profile_v)
 from minksurf.surface import Interval, SurfacePatch, point_data
 from minksurf.verify import GridSpec
 
@@ -410,3 +412,31 @@ class TestAtomicOutput:
         assert run_cli(MT_ARGS + ["--u", "0.2:3:3", "--v", "0:6.283:3",
                                   "--csv", str(target)]) == 2
         assert str(target) in capsys.readouterr().err
+
+
+class TestSectionCsv:
+    def test_phi_is_evaluated_once_per_sample(self, tmp_path, monkeypatch,
+                                              capsys):
+        calls = []
+
+        def counting_section(*args):
+            base = plane_section_phi(*args)
+
+            def phi(jv):
+                calls.append(jv.val)
+                return base.phi(jv)
+            return ProfileCurvePhi(phi, base.domain)
+
+        monkeypatch.setattr(cli, "plane_section_phi", counting_section)
+        out = tmp_path / "s.csv"
+        assert run_cli(["section", "--A", "1", "--B", "0", "--C", "-1",
+                        "--samples", "1000", "--csv", str(out)]) == 0
+        phi = plane_section_phi(1.0, 0.0, -1.0)
+        vs = phi.domain.linspace(1000, inset=0.02)
+        assert calls == vs
+        # Rows as one float evaluation of phi and of kappa_bar per sample.
+        rows = [",".join(fmt(x) for x in (v, profile_v(phi.phi, v).val,
+                                          kappa_bar(phi, v)))
+                for v in vs]
+        want = "v,phi,kappa_bar\n" + "\n".join(rows) + "\n"
+        assert out.read_bytes() == want.encode("ascii")

@@ -144,6 +144,50 @@ class TestBuildEllipticHyperbolic:
                 assert p.E > 0 and p.E * p.G - p.F ** 2 > 0
 
 
+def _cubic_pair(k: float, c: float, g) -> ProfilePair:
+    """f = c - (u - k)^3 / 3, so f' = -(u - k)^2 vanishes only at u = k,
+    on a domain whose 41 samples are the integers 0 .. 40."""
+    return ProfilePair(f=lambda j: c - (j - k) * (j - k) * (j - k) / 3.0,
+                       g=g, domain=Interval(0.0, 40.0))
+
+
+_BUILDERS = {
+    # builder, its second inequality, a g that fails it only where f' = 0
+    "parabolic": (lambda fp: build_parabolic(fp, unit_phi()),
+                  "-f'*g' > 0", lambda j: j),
+    "elliptic": (lambda fp: build_elliptic(
+                     fp, w1=lambda j: j, w2=lambda j: Jet2.constant(0.0),
+                     v_domain=Interval(-0.5, 0.5)),
+                 "f'^2 - g'^2 > 0", lambda j: Jet2.constant(1.0)),
+    "hyperbolic": (lambda fp: build_hyperbolic(
+                       fp, w1=lambda j: Jet2.constant(0.0), w2=lambda j: j,
+                       v_domain=Interval(-0.5, 0.5)),
+                   "f'^2 + g'^2 > 0", lambda j: Jet2.constant(1.0)),
+}
+
+
+class TestAdmissibilityOrder:
+    """The profile pair is checked sample by sample, f > 0 first."""
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_earlier_sample_wins(self, name):
+        build, inequality, g = _BUILDERS[name]
+        # The second inequality fails at u = 10 only; f > 0 from u = 30 on.
+        with pytest.raises(AdmissibilityError) as err:
+            build(_cubic_pair(10.0, 2500.0, g))
+        assert (err.value.inequality, err.value.variable,
+                err.value.value) == (inequality, "u", 10.0)
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_f_positive_is_named_when_both_fail(self, name):
+        build, _, g = _BUILDERS[name]
+        # f = 0 and f' = 0 at u = 30; both hold at every earlier sample.
+        with pytest.raises(AdmissibilityError) as err:
+            build(_cubic_pair(30.0, 0.0, g))
+        assert (err.value.inequality, err.value.variable,
+                err.value.value) == ("f > 0", "u", 30.0)
+
+
 class TestKappaM:
     def test_straight_meridian(self):
         for slope in (-0.5, -1.0, -2.0):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minksurf import jets
 from minksurf.errors import (AdmissibilityError, DegenerateFrame, DomainError,
@@ -543,3 +545,66 @@ class TestArrayEngine:
         assert trapped.dtype == bool and trapped.all()
         flat = build_parabolic(flat_pair(), unit_phi())
         assert not is_marginally_trapped(point_data(flat, us, us)).any()
+
+
+def _boost_then_rotate(rapidity: float, angles) -> np.ndarray:
+    """A boost along e1 followed by a rotation of e1, e2, e3."""
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    boost = np.array([[ch, 0, 0, sh], [0, 1, 0, 0], [0, 0, 1, 0],
+                      [sh, 0, 0, ch]])
+    rot = np.eye(4)
+    for axis, t in zip((2, 1, 2), angles):   # z-y-z Euler angles
+        i, j = [k for k in range(3) if k != axis]
+        r = np.eye(4)
+        r[i, i] = r[j, j] = math.cos(t)
+        r[i, j], r[j, i] = -math.sin(t), math.sin(t)
+        rot = rot @ r
+    return rot @ boost
+
+
+def _moved(patch: SurfacePatch, motion: np.ndarray, shift) -> SurfacePatch:
+    """x -> motion x + shift applied to the immersion; canonical frame."""
+    rows = motion.tolist()
+
+    def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
+        z = patch.immersion(ju, jv)
+        xs = (z.x1, z.x2, z.x3, z.x4)
+        return Jet2Vec4(*(sum((x * c for x, c in zip(xs, row)), Jet2(t))
+                          for row, t in zip(rows, shift)))
+
+    return SurfacePatch(immersion=immersion, domain=patch.domain)
+
+
+class TestLorentzInvariance:
+    """k, K, <H,H> and |kappa_normal| do not change under a Lorentz motion
+    of the ambient space, and H moves with its linear part."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           rapidity=st.floats(-1.0, 1.0),
+           angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3),
+           shift=st.tuples(*[st.floats(-5.0, 5.0)] * 4),
+           s=st.floats(0.05, 0.95), t=st.floats(0.05, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_invariants_under_boost_rotation_translation(
+            self, seed, rapidity, angles, shift, s, t):
+        motion = _boost_then_rotate(rapidity, angles)
+        eta = np.diag([1.0, 1.0, 1.0, -1.0])
+        assert np.allclose(motion.T @ eta @ motion, eta, atol=1e-12)
+        assert motion[3, 3] > 0.0 and np.linalg.det(motion) > 0.0
+
+        patch = random_parabolic_family(random.Random(seed)).patch()
+        u = patch.domain.u.lo + s * patch.domain.u.width
+        v = patch.domain.v.lo + t * patch.domain.v.width
+        p = point_data(patch, u, v)
+        q = point_data(_moved(patch, motion, shift), u, v)
+
+        def close(a, b, tol=1e-10):
+            return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+        assert close(q.k, p.k)
+        assert close(q.K, p.K)
+        assert close(q.h_dot_h(), p.h_dot_h())
+        assert close(abs(q.kappa_normal), abs(p.kappa_normal))
+        want = motion @ np.array(p.H.coords())
+        scale = max(1.0, float(np.linalg.norm(want)))
+        assert np.max(abs(np.array(q.H.coords()) - want)) <= 1e-10 * scale

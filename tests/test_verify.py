@@ -11,7 +11,8 @@ from minksurf.surface import Interval, SurfacePatch
 from minksurf.meridian import (MTFamilyParams, ParabolicFamily,
                                ProfileCurvePhi, ProfilePair, RootBranch,
                                SignBranch, build_elliptic, build_parabolic,
-                               mt_cone_patch, mt_general_profile)
+                               kappa_bar, mt_cone_patch, mt_general_profile,
+                               plane_section_phi)
 from minksurf import verify
 from minksurf.verify import (GridSpec, VerificationReport, claim_suite,
                              render_reports, verify_case1_hyperplane,
@@ -181,6 +182,19 @@ class TestSectionCurvature:
                                                        samples=500)
             assert report.passed, (a, b, c, branch, report)
             done += 1
+
+
+    @pytest.mark.parametrize("section", [
+        (3.0, 4.0, 0.0, RootBranch.PLUS), (0.0, 0.0, -0.5, RootBranch.PLUS),
+        (3.0, 0.0, 2.5, RootBranch.MINUS)])
+    def test_witness_is_the_farthest_sampled_v(self, section):
+        report = verify_constant_section_curvature(*section)
+        phi = plane_section_phi(*section)
+        vs = phi.domain.linspace(1000, inset=0.02)
+        assert report.worst_point[0] == 0.0
+        assert report.worst_point[1] in vs
+        deviation = abs(kappa_bar(phi, np.array(vs)) - report.details["mean"])
+        assert deviation[vs.index(report.worst_point[1])] == deviation.max()
 
 
 class TestCase1Hyperplane:
