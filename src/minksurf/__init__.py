@@ -2,6 +2,13 @@
 surfaces in Minkowski 4-space, built around meridian surfaces of
 rotational hypersurfaces with lightlike axis."""
 
+import os
+
+# Every matrix here has at most 4 rows, too small for BLAS worker threads
+# to pay: a pool started at numpy import only spins and preempts the
+# main thread.  Set before numpy loads; an explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (AdmissibilityError, CurvatureMismatch, DegenerateFrame,
                      DomainError, Error, ExprError, NotSpacelike, ParamError,
                      SingularProjection, UsageError)

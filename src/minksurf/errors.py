@@ -16,11 +16,32 @@ class DomainError(Error):
 
 
 class NotSpacelike(Error):
-    """The induced metric is not positive definite at the requested point."""
+    """The induced metric is not positive definite at the requested point.
+
+    Carries the point (u, v), both None where only the tangent vectors
+    are known, and E and det = EG - F^2 there.
+    """
+
+    def __init__(self, u, v, E: float, det: float):
+        self.u = u
+        self.v = v
+        self.E = E
+        self.det = det
+        head = ("tangent plane not spacelike" if u is None
+                else f"not spacelike at (u,v)=({u!r},{v!r})")
+        super().__init__(f"{head}: E={E!r}, EG-F^2={det!r}")
 
 
 class DegenerateFrame(Error):
-    """No orthonormal normal frame of signature (1,1) could be built."""
+    """No orthonormal normal frame of signature (1,1) could be built.
+
+    Carries the offending quantity: <nu,nu> of the normal projection of
+    e4, the best spacelike normal square, or a supplied frame's residual.
+    """
+
+    def __init__(self, message: str, quantity: float):
+        self.quantity = quantity
+        super().__init__(message)
 
 
 class AdmissibilityError(Error):

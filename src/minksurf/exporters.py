@@ -39,6 +39,12 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def row_format(n: int, sep: str = ",") -> str:
+    """A ``%`` format string for one row of n reals joined by ``sep`` and
+    ended by a newline: each field reads as :func:`fmt` would write it."""
+    return sep.join(["%.17g"] * n) + "\n"
+
+
 @contextmanager
 def atomic_writer(path: str):
     """A text file handle whose contents appear at ``path`` only if the
@@ -70,26 +76,28 @@ def export_grid_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
     orthonormal coordinates of the mean curvature vector; HdotH is its
     self inner product.  Returns the number of data rows.
     """
+    line = row_format(CSV_HEADER.count(",") + 1)
     rows = 0
     with atomic_writer(path) as fh:
         fh.write(CSV_HEADER + "\n")
         for u, v in grid.points():
             p = point_data(patch, u, v)
-            values = (u, v, *p.z.coords(), p.E, p.F, p.G, p.L, p.M, p.N,
-                      p.k, p.kappa_normal, p.K, *p.H.coords(), p.h_dot_h())
-            fh.write(",".join(fmt(x) for x in values) + "\n")
+            fh.write(line % (u, v, *p.z.coords(), p.E, p.F, p.G, p.L, p.M,
+                             p.N, p.k, p.kappa_normal, p.K, *p.H.coords(),
+                             p.h_dot_h()))
             rows += 1
     return rows
 
 
 def export_positions_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
     """Write sampled positions only (u, v, x1..x4); returns the row count."""
+    line = row_format(POSITIONS_HEADER.count(",") + 1)
     rows = 0
     with atomic_writer(path) as fh:
         fh.write(POSITIONS_HEADER + "\n")
         for u, v in grid.points():
             z = jet_eval_surface(patch, u, v).value()
-            fh.write(",".join(fmt(x) for x in (u, v, *z.coords())) + "\n")
+            fh.write(line % (u, v, *z.coords()))
             rows += 1
     return rows
 
@@ -111,6 +119,7 @@ def export_obj(patch: SurfacePatch, grid: GridSpec,
             f"projection matrix has rank < 3 (singular values {sv})")
 
     nu, nv = grid.u_samples, grid.v_samples
+    vertex = "v " + row_format(3, " ")
     with atomic_writer(path) as fh:
         for u, v in grid.points():
             z = np.array(jet_eval_surface(patch, u, v).value().coords())
@@ -118,7 +127,7 @@ def export_obj(patch: SurfacePatch, grid: GridSpec,
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w)):
                 raise SingularProjection(
                     f"non-finite projected vertex at (u,v)=({u},{v})")
-            fh.write(f"v {fmt(x)} {fmt(y)} {fmt(w)}\n")
+            fh.write(vertex % (x, y, w))
         faces = 0
         for i in range(nu - 1):
             for j in range(nv - 1):

@@ -28,9 +28,14 @@ from .minkowski import Vec4M, elementary, first_failure
 Scalar = Union[int, float]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Jet2:
-    """Value and partial derivatives (du, dv, duu, duv, dvv) at a point."""
+    """Value and partial derivatives (du, dv, duu, duv, dvv) at a point.
+
+    Never modified after construction, so one jet may be shared: the
+    per-line profile memos hand the same jets to immersion and frame.
+    Not frozen, because frozen construction dominated the one-point cost.
+    """
 
     val: float
     du: float = 0.0
@@ -198,9 +203,12 @@ def log_abs(x: Jet2) -> Jet2:
     return _chain(x, elementary(x.val).log(abs(x.val)), inv, -inv * inv)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Jet2Vec4:
-    """Four jet components in the orthonormal basis of R^4_1."""
+    """Four jet components in the orthonormal basis of R^4_1.
+
+    Never modified after construction (see :class:`Jet2`).
+    """
 
     x1: Jet2
     x2: Jet2

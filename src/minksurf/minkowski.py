@@ -92,9 +92,14 @@ class CausalCharacter(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Vec4M:
-    """A vector of R^4 carrying the indefinite inner product."""
+    """A vector of R^4 carrying the indefinite inner product.
+
+    Never modified after construction, so the basis constants below are
+    shared.  Not frozen, because frozen construction dominated the
+    one-point cost.
+    """
 
     x1: float
     x2: float
@@ -181,9 +186,12 @@ def causal_character(v: Vec4M, tol: float = 1e-12) -> CausalCharacter:
                             CausalCharacter.TIMELIKE)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NullFrameCoords:
-    """Coordinates with respect to the pseudo-orthonormal basis {e1, e2, xi1, xi2}."""
+    """Coordinates with respect to the pseudo-orthonormal basis {e1, e2, xi1, xi2}.
+
+    Never modified after construction (see :class:`Vec4M`).
+    """
 
     z1: float
     z2: float

@@ -147,8 +147,7 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     det2 = e * g - f * f
     bad = first_failure((e <= 0.0) | (det2 <= 0.0), e, det2)
     if bad:
-        raise NotSpacelike("tangent plane not spacelike: E={!r}, EG-F^2={!r}"
-                           .format(*bad))
+        raise NotSpacelike(None, None, *bad)
     ops = elementary(e, det2)
 
     def project_normal(w: Vec4M) -> Vec4M:
@@ -164,7 +163,7 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     if bad:
         raise DegenerateFrame(
             "normal space contains no timelike direction (<nu,nu>={!r})"
-            .format(*bad))
+            .format(*bad), *bad)
     n2 = nu.scale(1.0 / ops.sqrt(-q))
 
     best, best_sq = ZERO, -math.inf
@@ -175,16 +174,21 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
         better = sq > best_sq
         best = ops.where(better, mu, best)
         best_sq = ops.where(better, sq, best_sq)
-    if first_failure(best_sq <= NORMAL_TOL, best_sq):
-        raise DegenerateFrame("no spacelike normal direction found")
+    bad = first_failure(best_sq <= NORMAL_TOL, best_sq)
+    if bad:
+        raise DegenerateFrame("no spacelike normal direction found", *bad)
     n1 = best.scale(1.0 / ops.sqrt(best_sq))
     return ops.where(_det4(z_u, z_v, n1, n2) < 0.0, -n1, n1), n2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PointData:
     """All pointwise geometry of an immersion at one (u, v), or at each
-    point of equal-length (u, v) arrays."""
+    point of equal-length (u, v) arrays.
+
+    Never modified after construction (see
+    :class:`~minksurf.minkowski.Vec4M`).
+    """
 
     u: float
     v: float
@@ -265,9 +269,7 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     det2 = e * g - f * f
     bad = first_failure((e <= 0.0) | (det2 <= 0.0), u, v, e, det2)
     if bad:
-        raise NotSpacelike(
-            "not spacelike at (u,v)=({!r},{!r}): E={!r}, EG-F^2={!r}"
-            .format(*bad))
+        raise NotSpacelike(*bad)
     ops = elementary(e, det2)
     w = ops.sqrt(det2)
 
@@ -287,7 +289,7 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
         if bad:
             raise DegenerateFrame(
                 "supplied frame is not orthonormal-normal (residual {:.3e})"
-                .format(*bad))
+                .format(*bad), *bad)
 
     c11_1 = inner(z_uu, n1)
     c12_1 = inner(z_uv, n1)

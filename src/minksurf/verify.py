@@ -304,7 +304,9 @@ def verify_cone_lightlike_hyperplane(patch: SurfacePatch, grid: GridSpec,
     us, vs = grid.mesh()
     z = _positions(jet_eval_surface(patch, us, vs).value(), us.size)
     m = z[:, 1:] - z[:, :1]
-    u_mat, sv, _ = np.linalg.svd(m)
+    # Only U (4x4) and the singular values are used: the reduced
+    # factorisation gives the same ones without forming the square V^T.
+    u_mat, sv, _ = np.linalg.svd(m, full_matrices=False)
     rank_res = float(sv[3] / sv[0])
     ell = u_mat[:, 3]
     # The SVD null direction l satisfies l . x = 0 (Euclidean); the

@@ -1,13 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import minksurf
 from minksurf import cli
 from minksurf.cli import run_cli
 from minksurf.errors import SingularProjection
 from minksurf.exporters import (CSV_HEADER, DEFAULT_PROJECTION,
                                 export_grid_csv, export_obj,
-                                export_positions_csv, fmt)
+                                export_positions_csv, fmt, row_format)
 from minksurf.expr import compile_profile
 from minksurf.errors import ExprError
 from minksurf.jets import Jet2
@@ -112,6 +120,23 @@ class TestCsvExport:
     def test_serialization_is_lossless(self):
         for x in (1 / 3, math.pi, -2.5e-17, 1e300, 0.1):
             assert float(fmt(x)) == x
+
+    EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+    @given(row=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(),
+                                  st.floats().map(np.float64),
+                                  st.integers(-2 ** 1000, 2 ** 1000)),
+                        min_size=1, max_size=24),
+           sep=st.sampled_from([",", " "]))
+    @example(row=[*EDGE_FLOATS, 0, -7, 2 ** 64], sep=",")
+    @settings(max_examples=300, deadline=None)
+    def test_row_format_writes_what_fmt_writes(self, row, sep):
+        # The exporters' one format string per row must give the bytes of
+        # fmt on every field: signed zero, subnormals, the largest finite
+        # floats, inf, nan, ints and the numpy scalars of OBJ vertices.
+        assert (row_format(len(row), sep) % tuple(row)
+                == sep.join(fmt(x) for x in row) + "\n")
 
 
 class TestObjExport:
@@ -440,3 +465,30 @@ class TestSectionCsv:
                 for v in vs]
         want = "v,phi,kappa_bar\n" + "\n".join(rows) + "\n"
         assert out.read_bytes() == want.encode("ascii")
+
+
+class TestBlasThreads:
+    """Importing minksurf keeps numpy's BLAS in the calling thread unless
+    the environment already says otherwise."""
+
+    SHOW = ("import os, minksurf; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS', '-'), "
+            "len(os.listdir('/proc/self/task')) "
+            "if os.path.isdir('/proc/self/task') else 1)")
+
+    def run_import(self, given):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(minksurf.__file__).parents[1])
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        got = subprocess.run([sys.executable, "-c", self.SHOW], env=env,
+                             capture_output=True, text=True, check=True)
+        value, threads = got.stdout.split()
+        return value, int(threads)
+
+    def test_default_is_one_thread_and_no_pool(self):
+        assert self.run_import(None) == ("1", 1)
+
+    def test_explicit_setting_wins(self):
+        assert self.run_import("2")[0] == "2"

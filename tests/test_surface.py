@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksurf import jets
+from minksurf import jets, surface
 from minksurf.errors import (AdmissibilityError, DegenerateFrame, DomainError,
                              NotSpacelike)
 from minksurf.expr import compile_profile
 from minksurf.jets import Jet2, Jet2Vec4
-from minksurf.minkowski import (E1, E2, E3, E4, CausalCharacter, Vec4M,
-                                causal_character, inner, to_null_frame)
-from minksurf.surface import (Interval, PointKind, Rect, SurfacePatch,
-                              classify_point, is_marginally_trapped,
+from minksurf.minkowski import (E1, E2, E3, E4, CausalCharacter,
+                                NullFrameCoords, Vec4M, causal_character,
+                                inner, to_null_frame)
+from minksurf.surface import (Interval, PointData, PointKind, Rect,
+                              SurfacePatch, classify_point,
+                              is_marginally_trapped,
                               jet_eval_surface, normal_frame, point_data,
                               point_data_from_derivatives)
 from minksurf.meridian import (ProfileCurvePhi, ProfilePair, build_parabolic,
@@ -412,6 +414,118 @@ class TestNotSpacelike:
             point_data(patch, 0.0, 0.0)
 
 
+def _reproducer_patch_and_grid():
+    """Admissible at the 41 samples build_parabolic checks, but not
+    spacelike between them."""
+    fp = ProfilePair(compile_profile("2 + 0.001*sin(167.55*(u-0.5))", "u"),
+                     compile_profile("-u", "u"), Interval(0.5, 2.0))
+    phi = ProfileCurvePhi(compile_profile("2", "v"), Interval(0.0, 6.283))
+    return (build_parabolic(fp, phi),
+            GridSpec(200, 5, Interval(0.5, 2.0), Interval(0.0, 6.283)))
+
+
+def _tilted_tangents():
+    """A spacelike tangent plane whose best normal square is 1/3: the
+    normal space is spanned by (1, 1, 1, 0)/sqrt(3) and e4."""
+    return Vec4M(1.0, -1.0, 0.0, 0.0), Vec4M(1.0, 1.0, -2.0, 0.0)
+
+
+def _stack(*vectors: Vec4M) -> Vec4M:
+    """One Vec4M of arrays holding the given vectors as its points."""
+    return Vec4M(*(np.array(c) for c in zip(*(v.coords() for v in vectors))))
+
+
+class TestErrorsCarryTheirPoint:
+    """NotSpacelike and DegenerateFrame carry the point and the quantity
+    that failed, from a one-point call and from the first failing point of
+    an array call; the messages are unchanged."""
+
+    def test_not_spacelike_point(self):
+        patch, grid = _reproducer_patch_and_grid()
+        with pytest.raises(NotSpacelike) as one:
+            point_data(patch, 0.5150753768844221, 0.0)
+        with pytest.raises(NotSpacelike) as many:
+            point_data(patch, *grid.mesh())
+        for err in (one.value, many.value):
+            assert (err.u, err.v) == (0.5150753768844221, 0.0)
+            assert err.E == one.value.E and err.det == one.value.det
+            assert err.E <= 0.0 or err.det <= 0.0
+            assert str(err) == (
+                f"not spacelike at (u,v)=({err.u!r},{err.v!r}): "
+                f"E={err.E!r}, EG-F^2={err.det!r}")
+        assert type(many.value.u) is float and type(many.value.E) is float
+
+    def test_not_spacelike_tangent_plane_has_no_point(self):
+        z_u = Vec4M(np.array([1.0, 1.0, 0.0]), 0.0, 0.0, 0.0)
+        z_v = Vec4M(np.array([0.0, 0.0, 1.0]), 1.0, 0.0,
+                    np.array([0.0, 2.0, 0.0]))
+        with pytest.raises(NotSpacelike) as err:
+            normal_frame(z_u, z_v)
+        assert (err.value.u, err.value.v) == (None, None)
+        # The second pair is the first to fail: E = 1, EG - F^2 = -3.
+        assert (err.value.E, err.value.det) == (1.0, -3.0)
+        assert str(err.value) == (
+            "tangent plane not spacelike: E=1.0, EG-F^2=-3.0")
+
+    def test_no_timelike_normal_quantity(self, monkeypatch):
+        # <nu, nu> <= -1 for every spacelike plane, so only a tolerance
+        # above 1 reaches this check.
+        monkeypatch.setattr(surface, "NORMAL_TOL", 2.0)
+        with pytest.raises(DegenerateFrame) as err:
+            normal_frame(E1, E2)
+        assert err.value.quantity == -1.0
+        assert str(err.value) == (
+            "normal space contains no timelike direction (<nu,nu>=-1.0)")
+
+    def test_no_spacelike_normal_quantity(self, monkeypatch):
+        monkeypatch.setattr(surface, "NORMAL_TOL", 0.5)
+        tu, tv = _tilted_tangents()
+        with pytest.raises(DegenerateFrame) as one:
+            normal_frame(tu, tv)
+        assert one.value.quantity == pytest.approx(1.0 / 3.0, rel=1e-15)
+        # The E1, E2 plane passes (best square 1); the tilted one is first
+        # to fail.
+        z_u = _stack(E1, tu, tu.scale(2.0))
+        z_v = _stack(E2, tv, tv)
+        with pytest.raises(DegenerateFrame) as many:
+            normal_frame(z_u, z_v)
+        assert many.value.quantity == one.value.quantity
+        assert str(many.value) == str(one.value) == (
+            "no spacelike normal direction found")
+
+    def test_supplied_frame_residual(self, flat_patch):
+        # The canonical frame at v = 0.5 is valid there and not at v = 1.5.
+        j = jet_eval_surface(flat_patch, 1.0, 0.5)
+        frame = normal_frame(j.d_u(), j.d_v())
+        us = np.full(3, 1.0)
+        vs = np.array([0.5, 1.5, 2.5])
+        point_data(flat_patch, 1.0, 0.5, frame=frame)
+        with pytest.raises(DegenerateFrame) as one:
+            point_data(flat_patch, 1.0, 1.5, frame=frame)
+        with pytest.raises(DegenerateFrame) as many:
+            point_data(flat_patch, us, vs, frame=frame)
+        assert one.value.quantity > surface.FRAME_TOL
+        assert many.value.quantity == one.value.quantity
+        assert str(many.value) == str(one.value) == (
+            "supplied frame is not orthonormal-normal (residual "
+            f"{one.value.quantity:.3e})")
+
+
+class TestValueTypes:
+    """The engine's value types are slotted: no per-instance __dict__."""
+
+    def test_slotted(self, flat_patch):
+        jet = Jet2.seed_u(1.0)
+        instances = (jet, Jet2Vec4(jet, jet, jet, jet), E1,
+                     NullFrameCoords(1.0, 2.0, 3.0, 4.0),
+                     point_data(flat_patch, 1.2, 0.7))
+        for obj, cls in zip(instances, (Jet2, Jet2Vec4, Vec4M,
+                                        NullFrameCoords, PointData)):
+            assert type(obj) is cls
+            assert "__slots__" in vars(cls), cls.__name__
+            assert not hasattr(obj, "__dict__"), cls.__name__
+
+
 # ---------------------------------------------------------------------------
 # the engine on arrays of points
 # ---------------------------------------------------------------------------
@@ -608,3 +722,45 @@ class TestLorentzInvariance:
         want = motion @ np.array(p.H.coords())
         scale = max(1.0, float(np.linalg.norm(want)))
         assert np.max(abs(np.array(q.H.coords()) - want)) <= 1e-10 * scale
+
+
+class TestReparametrisationInvariance:
+    """k, K, <H,H>, |kappa_normal| and H do not change under an increasing
+    reparametrisation u = psi(s), v = chi(t) written in jet arithmetic."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+           s=st.floats(0.05, 0.95), t=st.floats(0.05, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_invariants_at_corresponding_points(self, seed, a, b, s, t):
+        patch = random_parabolic_family(random.Random(seed)).patch()
+        du, dv = patch.domain.u, patch.domain.v
+
+        # Increasing maps of [0, 1] onto the domain:
+        # psi' = w (1 + 3 a s^2) / (1 + a) > 0 and
+        # chi' = w (1 + 2 b t) / (1 + b) > 0.
+        def psi(js):
+            return du.lo + du.width * (js + a * js * js * js) / (1.0 + a)
+
+        def chi(jt):
+            return dv.lo + dv.width * (jt + b * jt * jt) / (1.0 + b)
+
+        unit = Rect(Interval(0.0, 1.0), Interval(0.0, 1.0))
+        again = SurfacePatch(lambda js, jt: patch.immersion(psi(js), chi(jt)),
+                             unit)
+        # The frame-free patch, so both sides use the canonical frame.
+        base = SurfacePatch(patch.immersion, patch.domain)
+        q = point_data(again, s, t)
+        p = point_data(base, psi(Jet2.constant(s)).val,
+                       chi(Jet2.constant(t)).val)
+
+        def close(x, y, tol=1e-10):
+            return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+
+        assert close(q.k, p.k)
+        assert close(q.K, p.K)
+        assert close(q.h_dot_h(), p.h_dot_h())
+        assert close(abs(q.kappa_normal), abs(p.kappa_normal))
+        scale = max(1.0, p.H.euclidean_norm())
+        for x, y in zip(q.H.coords(), p.H.coords()):
+            assert abs(x - y) <= 1e-10 * scale
