@@ -16,20 +16,17 @@ from .minkowski import (E1, E2, E3, E4, XI1, XI2, CausalCharacter,
                         NullFrameCoords, Vec4M, causal_character,
                         from_null_frame, inner, to_null_frame)
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
-from .surface import (Interval, PointClass, PointData, PointKind, Rect,
-                      SurfacePatch, classify_point, is_marginally_trapped,
-                      jet_eval_surface, normal_frame, point_data,
-                      point_data_from_derivatives)
+from .surface import (Interval, PointData, Rect, SurfacePatch,
+                      is_marginally_trapped, jet_eval_surface, normal_frame,
+                      point_data, point_data_from_derivatives)
 from .meridian import (ClosedForms, MTFamilyParams, ParabolicFamily,
-                       ParaboloidCurve, PlaneSection, ProfileCurvePhi,
-                       ProfilePair, RootBranch,
-                       SignBranch, build_elliptic, build_hyperbolic,
-                       build_parabolic, cbar_frenet, kappa_bar, kappa_m,
+                       PlaneSection, ProfileCurvePhi, ProfilePair, RootBranch,
+                       SignBranch, build_parabolic, kappa_bar, kappa_m,
                        meridian_plane, mt_cone_patch, mt_general_gprime,
                        mt_general_profile, parabolic_closed_forms,
                        parabolic_normal_frame, paraboloid_point,
                        plane_section_curvature, plane_section_phi,
-                       profile_u, profile_v, section_constraint_residual)
+                       profile_u, profile_v)
 from .verify import (GridSpec, VerificationReport, claim_suite,
                      render_reports, verify_case1_hyperplane,
                      verify_closed_form_invariants,

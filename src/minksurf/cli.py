@@ -18,9 +18,10 @@ Diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from .errors import Error, ExprError, UsageError
+from .errors import Error, UsageError
 from .expr import compile_profile
 from .meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                        ProfilePair, RootBranch, SignBranch, build_parabolic,
@@ -184,6 +185,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_section(args) -> int:
+    if args.samples < 2:
+        raise UsageError(f"--samples needs count >= 2, got {args.samples}")
     root = _parse_branch(args.root, RootBranch, "--root")
     phi = plane_section_phi(args.A, args.B, args.C, root)
     curvature = plane_section_curvature(args.A, args.B, args.C, root)
@@ -210,6 +213,8 @@ def _cmd_section(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite != "paper":
         raise UsageError(f"unknown suite {args.suite!r}")
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol needs a finite value > 0, got {args.tol!r}")
     reports = claim_suite(tol=args.tol)
     sys.stdout.write(render_reports(reports))
     return 0 if all(r.passed for r in reports) else 1
@@ -282,9 +287,6 @@ def run_cli(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors already carry code 2
         return int(exc.code or 0)
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

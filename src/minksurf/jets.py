@@ -151,20 +151,11 @@ def ln(x: Jet2) -> Jet2:
 
 
 def exp(x: Jet2) -> Jet2:
-    e = elementary(x.val).exp(x.val)
+    try:
+        e = elementary(x.val).exp(x.val)
+    except OverflowError:
+        raise DomainError("exp", x.val, "exp(x) within float range") from None
     return _chain(x, e, e, e)
-
-
-def sinh(x: Jet2) -> Jet2:
-    ops = elementary(x.val)
-    s, c = ops.sinh(x.val), ops.cosh(x.val)
-    return _chain(x, s, c, s)
-
-
-def cosh(x: Jet2) -> Jet2:
-    ops = elementary(x.val)
-    s, c = ops.sinh(x.val), ops.cosh(x.val)
-    return _chain(x, c, s, c)
 
 
 def reciprocal(x: Jet2) -> Jet2:
@@ -176,9 +167,14 @@ def reciprocal(x: Jet2) -> Jet2:
 def powr(x: Jet2, p: float) -> Jet2:
     """x**p for a real exponent; requires x > 0."""
     _require("pow-by-real", x.val <= 0.0, x, "argument > 0")
-    f0 = x.val ** p
-    f1 = p * x.val ** (p - 1.0)
-    f2 = p * (p - 1.0) * x.val ** (p - 2.0)
+    try:
+        f0 = x.val ** p
+        f1 = p * x.val ** (p - 1.0)
+        f2 = p * (p - 1.0) * x.val ** (p - 2.0)
+    except OverflowError:
+        raise DomainError("pow-by-real", x.val,
+                          f"x**{p!r} and its derivatives within float range"
+                          ) from None
     return _chain(x, f0, f1, f2)
 
 

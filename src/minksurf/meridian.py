@@ -1,21 +1,19 @@
 """Constructors for meridian surfaces and their generating curves.
 
-A rotational hypersurface in Minkowski 4-space has a timelike, spacelike or
-lightlike axis; restricting its two rotation parameters to a curve
-w1 = w1(v), w2 = w2(v) produces a two-dimensional surface swept by a
-one-parameter system of meridians.  The three cases are built here as
-elliptic, hyperbolic and parabolic meridian surfaces.  The parabolic
-(lightlike-axis) family
+A rotational hypersurface in Minkowski 4-space with lightlike axis,
+restricted along a curve of its two rotation parameters, gives a
+two-dimensional surface swept by a one-parameter system of meridians: a
+meridian surface of parabolic type.  The family
 
     z(u, v) = f*phi*cos(v) e1 + f*phi*sin(v) e2
               + (f*phi^2/2 + g) xi1 + f xi2,
 
 with profile pair (f, g) satisfying f > 0, -f'*g' > 0 and generating
-profile phi(v) with phi'^2 + phi^2 > 0, is the main subject: this module
-also provides the two closed-form subfamilies whose mean curvature vector
-is lightlike everywhere (a cone family with straight meridians, and a
-general family whose meridian profile solves an explicit ODE), the
-lightlike-axis paraboloid that carries every generating curve, and its
+profile phi(v) with phi'^2 + phi^2 > 0, is built here together with the
+two closed-form subfamilies whose mean curvature vector is lightlike
+everywhere (a cone family with straight meridians, and a general family
+whose meridian profile solves an explicit ODE), the lightlike-axis
+paraboloid that carries every generating curve, and its
 constant-curvature plane sections.
 
 Profile functions are callables on :class:`~minksurf.jets.Jet2` values, so
@@ -36,7 +34,7 @@ from . import jets
 from .errors import AdmissibilityError, CurvatureMismatch, ParamError
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
 from .minkowski import (XI1, NullFrameCoords, Vec4M, elementary,
-                        first_failure, from_null_frame, inner)
+                        first_failure, from_null_frame)
 from .surface import Interval, Rect, SurfacePatch
 
 ProfileFn = Callable[[Jet2], Jet2]
@@ -119,16 +117,15 @@ def kappa_bar_of_jet(pj: Jet2, v: float) -> float:
 _CHECK_SAMPLES = 41
 
 
-def _check_profile_pair(fp: ProfilePair, inequality: str,
-                        holds: Callable[[float, float], bool]) -> None:
-    """f > 0 and ``holds(f', g')`` at each sample, f > 0 checked first."""
+def _check_profile_pair(fp: ProfilePair) -> None:
+    """f > 0 and -f'*g' > 0 at each sample, f > 0 checked first."""
     for u in fp.domain.linspace(_CHECK_SAMPLES):
         fj = profile_u(fp.f, u)
         gj = profile_u(fp.g, u)
         if not fj.val > 0.0:
             raise AdmissibilityError("f > 0", "u", u)
-        if not holds(fj.du, gj.du):
-            raise AdmissibilityError(inequality, "u", u)
+        if not -fj.du * gj.du > 0.0:
+            raise AdmissibilityError("-f'*g' > 0", "u", u)
 
 
 def _check_phi(phi: ProfileCurvePhi) -> None:
@@ -243,7 +240,7 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi,
     memo of profile jets per u line and per v line, so a grid of nu x nv
     points evaluates f and g nu times and phi nv times.
     """
-    _check_profile_pair(fp, "-f'*g' > 0", lambda f1, g1: -f1 * g1 > 0.0)
+    _check_profile_pair(fp)
     _check_phi(phi)
     u_line, v_line = _profile_lines(fp, phi)
 
@@ -335,87 +332,6 @@ def parabolic_closed_forms(fp: ProfilePair, phi: ProfileCurvePhi,
         H1=sgn * kb / (2.0 * f),
         H2=0.5 * (sgn * km + abs(fj.du) / (f * root_e)),
     )
-
-
-# ---------------------------------------------------------------------------
-# elliptic and hyperbolic meridian surfaces
-# ---------------------------------------------------------------------------
-
-def _check_rotation_params(w1: ProfileFn, w2: ProfileFn,
-                           v_domain: Interval) -> None:
-    for v in v_domain.linspace(_CHECK_SAMPLES):
-        w1j = profile_v(w1, v)
-        w2j = profile_v(w2, v)
-        if not w1j.dv * w1j.dv + w2j.dv * w2j.dv > 0.0:
-            raise AdmissibilityError("w1'^2 + w2'^2 > 0", "v", v)
-
-
-def _check_spacelike_samples(patch: SurfacePatch) -> None:
-    for u in patch.domain.u.linspace(9, inset=0.01):
-        for v in patch.domain.v.linspace(9, inset=0.01):
-            j = patch.immersion(Jet2.seed_u(u), Jet2.seed_v(v))
-            zu, zv = j.d_u(), j.d_v()
-            e = inner(zu, zu)
-            det2 = e * inner(zv, zv) - inner(zu, zv) ** 2
-            if e <= 0.0 or det2 <= 0.0:
-                raise AdmissibilityError("spacelike condition EG - F^2 > 0",
-                                         "(u,v)", (u, v))
-
-
-def build_elliptic(fp: ProfilePair, w1: ProfileFn, w2: ProfileFn,
-                   v_domain: Interval, label: str = "") -> SurfacePatch:
-    """Meridian surface on the rotational hypersurface with timelike axis.
-
-    Rotation of the profile about the e4 axis; requires f > 0 and
-    f'^2 - g'^2 > 0.
-    """
-    _check_profile_pair(fp, "f'^2 - g'^2 > 0",
-                        lambda f1, g1: f1 * f1 - g1 * g1 > 0.0)
-    _check_rotation_params(w1, w2, v_domain)
-
-    def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
-        fj = fp.f(ju)
-        gj = fp.g(ju)
-        w1j = w1(jv)
-        w2j = w2(jv)
-        c1, s1 = jets.cos(w1j), jets.sin(w1j)
-        c2, s2 = jets.cos(w2j), jets.sin(w2j)
-        return Jet2Vec4(fj * c1 * c2, fj * c1 * s2, fj * s1, gj)
-
-    patch = SurfacePatch(immersion=immersion,
-                         domain=Rect(fp.domain, v_domain),
-                         label=label or "elliptic meridian surface",
-                         kind="elliptic")
-    _check_spacelike_samples(patch)
-    return patch
-
-
-def build_hyperbolic(fp: ProfilePair, w1: ProfileFn, w2: ProfileFn,
-                     v_domain: Interval, label: str = "") -> SurfacePatch:
-    """Meridian surface on the rotational hypersurface with spacelike axis.
-
-    Rotation of the profile about the e1 axis; requires f > 0 and
-    f'^2 + g'^2 > 0.
-    """
-    _check_profile_pair(fp, "f'^2 + g'^2 > 0",
-                        lambda f1, g1: f1 * f1 + g1 * g1 > 0.0)
-    _check_rotation_params(w1, w2, v_domain)
-
-    def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
-        fj = fp.f(ju)
-        gj = fp.g(ju)
-        w1j = w1(jv)
-        w2j = w2(jv)
-        ch, sh = jets.cosh(w1j), jets.sinh(w1j)
-        c2, s2 = jets.cos(w2j), jets.sin(w2j)
-        return Jet2Vec4(gj, fj * ch * c2, fj * ch * s2, fj * sh)
-
-    patch = SurfacePatch(immersion=immersion,
-                         domain=Rect(fp.domain, v_domain),
-                         label=label or "hyperbolic meridian surface",
-                         kind="hyperbolic")
-    _check_spacelike_samples(patch)
-    return patch
 
 
 # ---------------------------------------------------------------------------
@@ -630,76 +546,8 @@ def plane_section_curvature(A: float, B: float, C: float,
     return -root
 
 
-def section_constraint_residual(A: float, B: float, C: float,
-                                phi: ProfileCurvePhi, v: float) -> float:
-    """|phi^2/2 + theta(v) phi + C| -- how well phi solves the section."""
-    p = profile_v(phi.phi, v).val
-    theta = A * math.cos(v) + B * math.sin(v)
-    return abs(p * p / 2.0 + theta * p + C)
-
-
-# ---------------------------------------------------------------------------
-# the generating curve on the paraboloid
-# ---------------------------------------------------------------------------
-
-def _zbar_jets(phi: ProfileCurvePhi, v: float) -> Jet2Vec4:
-    """Jets in v of z(v) = phi cos v e1 + phi sin v e2 + phi^2/2 xi1 + xi2."""
-    jv = Jet2.seed_v(v)
-    pj = phi.phi(jv)
-    return vec_from_null_jets(pj * jets.cos(jv), pj * jets.sin(jv),
-                              pj * pj * 0.5, Jet2.constant(1.0))
-
-
-def cbar_frenet(phi: ProfileCurvePhi, v: float) -> tuple[Vec4M, Vec4M, float]:
-    """Position, unit tangent and curvature of the generating curve.
-
-    The curve z(v) = phi cos v e1 + phi sin v e2 + phi^2/2 xi1 + xi2 lies
-    on the paraboloid (its position vector is lightlike) and is spacelike;
-    its curvature equals :func:`kappa_bar`.
-    """
-    zbar = _zbar_jets(phi, v)
-    tangent = zbar.d_v()
-    speed_sq = inner(tangent, tangent)
-    if speed_sq <= 0.0:
-        raise AdmissibilityError("phi'^2 + phi^2 > 0", "v", v)
-    t_unit = tangent.scale(1.0 / math.sqrt(speed_sq))
-    return zbar.value(), t_unit, kappa_bar(phi, v)
-
-
 def meridian_plane(phi: ProfileCurvePhi, v0: float) -> tuple[Vec4M, Vec4M]:
     """Spanning pair (xi1, zbar(v0)) of the lightlike 2-plane containing
     the meridian at v = v0."""
     p = profile_v(phi.phi, v0).val
     return XI1, paraboloid_point(p, v0)
-
-
-@dataclass(frozen=True)
-class ParaboloidCurve:
-    """A generating curve on the lightlike-axis paraboloid.
-
-    Bundles the profile with jet-evaluable position and per-sample Frenet
-    data.  Positions are lightlike vectors, tangents are unit spacelike.
-    """
-
-    phi: ProfileCurvePhi
-
-    def point(self, v: float) -> Vec4M:
-        return meridian_plane(self.phi, v)[1]
-
-    def frenet(self, v: float) -> tuple[Vec4M, Vec4M, float]:
-        return cbar_frenet(self.phi, v)
-
-    def normal(self, v: float) -> Vec4M:
-        """Unit Frenet normal: dt/ds = kappa * n; needs |kappa| > 1e-12."""
-        kb = kappa_bar(self.phi, v)
-        if abs(kb) <= 1e-12:
-            raise AdmissibilityError("kappa_bar != 0", "v", v)
-        zbar = _zbar_jets(self.phi, v)
-        w = zbar.d_v()
-        acc = zbar.d_vv()
-        speed_sq = inner(w, w)
-        speed = math.sqrt(speed_sq)
-        # dt/dv for t = w/|w|, then divide by |w| for the arc-length rate.
-        speed_rate = inner(w, acc) / speed
-        t_rate = (acc.scale(speed) - w.scale(speed_rate)).scale(1.0 / speed_sq)
-        return t_rate.scale(1.0 / (speed * kb))

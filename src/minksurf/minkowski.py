@@ -33,9 +33,9 @@ _SQRT_HALF = math.sqrt(0.5)
 # Elementary functions for one point and for arrays of points.  ``where``
 # picks element-wise between floats, arrays or whole vectors.
 _FLOAT_OPS = SimpleNamespace(
-    sin=math.sin, cos=math.cos, sinh=math.sinh, cosh=math.cosh,
-    exp=math.exp, log=math.log, sqrt=math.sqrt, copysign=math.copysign,
-    frexp=math.frexp, ldexp=math.ldexp, hypot=math.hypot, max=max,
+    sin=math.sin, cos=math.cos, exp=math.exp, log=math.log, sqrt=math.sqrt,
+    copysign=math.copysign, frexp=math.frexp, ldexp=math.ldexp,
+    hypot=math.hypot, max=max,
     where=lambda mask, a, b: a if mask else b)
 
 
@@ -47,9 +47,8 @@ def _array_where(mask, a, b):
 
 
 _ARRAY_OPS = SimpleNamespace(
-    sin=np.sin, cos=np.cos, sinh=np.sinh, cosh=np.cosh,
-    exp=np.exp, log=np.log, sqrt=np.sqrt, copysign=np.copysign,
-    frexp=np.frexp, ldexp=np.ldexp,
+    sin=np.sin, cos=np.cos, exp=np.exp, log=np.log, sqrt=np.sqrt,
+    copysign=np.copysign, frexp=np.frexp, ldexp=np.ldexp,
     hypot=lambda *xs: reduce(np.hypot, xs),
     max=lambda *xs: reduce(np.maximum, xs),
     where=_array_where)

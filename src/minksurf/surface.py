@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Union
 
 from .errors import DegenerateFrame, DomainError, NotSpacelike
@@ -88,7 +87,7 @@ class SurfacePatch:
 
     ``immersion`` receives jets seeded in u and v and returns the four
     coordinate jets.  ``kind`` labels the construction family
-    ("parabolic", "elliptic", "hyperbolic" or "generic"); verifiers use it
+    ("parabolic" for a meridian surface, else "generic"); verifiers use it
     to reject inputs they are not meant for.  ``frame``, when present, is
     the family's preferred normal frame and takes precedence over the
     canonical construction in :func:`point_data`.
@@ -334,32 +333,6 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
                      L=big_l, M=big_m, N=big_n,
                      k=k, kappa_normal=kappa_normal, K=gauss_k,
                      H=h_vec, H1=h1, H2=h2)
-
-
-class PointKind(Enum):
-    FLAT_POINT = "flat-point"
-    REGULAR = "regular"
-
-
-@dataclass(frozen=True, slots=True)
-class PointClass:
-    kind: PointKind
-    asymptotic_tangents: Optional[int]  # None at flat points
-
-
-def classify_point(p: PointData) -> PointClass:
-    """Flat-point test and asymptotic-tangent count by the sign of k;
-    L, M, N and k within 1e-10 of 0 count as 0."""
-    tol = 1e-10
-    if max(abs(p.L), abs(p.M), abs(p.N)) <= tol:
-        return PointClass(PointKind.FLAT_POINT, None)
-    if p.k < -tol:
-        count = 2
-    elif p.k > tol:
-        count = 0
-    else:
-        count = 1
-    return PointClass(PointKind.REGULAR, count)
 
 
 def is_marginally_trapped(p: PointData, tol: float = 1e-9) -> bool:

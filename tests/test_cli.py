@@ -317,6 +317,49 @@ class TestCliCommands:
         assert "io error" in capsys.readouterr().err
 
 
+class TestRejectedInputs:
+    """Bad input exits 2 with one error line, no traceback and no file."""
+
+    @staticmethod
+    def assert_rejected(capsys, code, *wanted):
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for text in wanted:
+            assert text in err
+        return out
+
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_section_needs_two_samples(self, tmp_path, capsys, samples):
+        out = tmp_path / "s.csv"
+        code = run_cli(["section", "--A", "1", "--B", "0", "--C", "-1",
+                        "--samples", samples, "--csv", str(out)])
+        self.assert_rejected(capsys, code,
+                             f"--samples needs count >= 2, got {samples}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("f_expr,u_axis,wanted", [
+        ("exp(1000*u)", "0.5:2:3", "exp: argument"),
+        # 2^400.5 still fits a float; 8^400.5 does not.
+        ("u^400.5", "2:8:3", "pow-by-real: argument"),
+    ], ids=["exp", "pow"])
+    def test_overflowing_profile(self, tmp_path, capsys, f_expr, u_axis,
+                                 wanted):
+        out = tmp_path / "y.csv"
+        code = run_cli(["invariants", "--f-expr", f_expr, "--g-expr=-u",
+                        "--phi-expr", "1", "--u", u_axis, "--v", "0:1:3",
+                        "--csv", str(out)])
+        self.assert_rejected(capsys, code, wanted, "within float range")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+    def test_verify_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        code = run_cli(["verify", "--suite", "paper", f"--tol={tol}"])
+        out = self.assert_rejected(capsys, code,
+                                   "--tol needs a finite value > 0")
+        assert out == ""
+
+
 def fresh_per_point(build) -> SurfacePatch:
     """A patch that builds a new patch, with empty profile memos, for
     every immersion and frame evaluation."""

@@ -79,6 +79,17 @@ class TestDomainErrors:
         with pytest.raises(DomainError):
             jets.powr(Jet2.seed_u(-1.0), 0.5)
 
+    @pytest.mark.parametrize("fn,func,arg", [
+        (jets.exp, "exp", 710.0),
+        (lambda j: jets.powr(j, 400.5), "pow-by-real", 8.0),
+        # The value fits, its second derivative x**-6.5 does not.
+        (lambda j: jets.powr(j, -4.5), "pow-by-real", 1e-50),
+    ], ids=["exp", "pow", "pow-derivative"])
+    def test_overflow_names_function_and_argument(self, fn, func, arg):
+        with pytest.raises(DomainError) as err:
+            fn(Jet2.seed_u(arg))
+        assert (err.value.func, err.value.value) == (func, arg)
+
 
 FD_CASES = [
     ("sin", math.sin, lambda x: True),
@@ -88,9 +99,6 @@ FD_CASES = [
     ("ln", math.log, lambda x: x > 0.1),
     ("reciprocal", lambda x: 1.0 / x, lambda x: abs(x) > 0.1),
 ]
-
-FD_EXTRA = [(jets.sinh, math.sinh), (jets.cosh, math.cosh)]
-
 
 class TestFiniteDifferenceAgreement:
     @pytest.mark.parametrize("tag,ref,ok", FD_CASES)
@@ -123,13 +131,6 @@ class TestFiniteDifferenceAgreement:
             j = getattr(jets, tag)(Jet2.seed_u(x))
             fd = c5(lambda t: getattr(jets, tag)(Jet2.seed_u(t)).du, x)
             assert abs(j.duu - fd) <= 1e-6 * max(1.0, abs(fd))
-
-    @pytest.mark.parametrize("fn,ref", FD_EXTRA)
-    def test_hyperbolic_functions(self, fn, ref):
-        for x in (0.17, 0.62, 1.31):
-            j = fn(Jet2.seed_u(x))
-            assert abs(j.du - c5(ref, x)) <= 1e-6 * max(1.0, abs(j.du))
-            assert abs(j.duu - c5_second(ref, x)) <= 1e-6 * max(1.0, abs(j.duu))
 
 
 slot_floats = st.floats(min_value=-2.0, max_value=2.0,

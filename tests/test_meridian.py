@@ -14,16 +14,14 @@ from minksurf.minkowski import (E1, E2, XI1, XI2, NullFrameCoords, Vec4M,
 from minksurf.exporters import export_grid_csv
 from minksurf.surface import Interval, point_data, jet_eval_surface
 from minksurf.verify import GridSpec
-from minksurf.meridian import (MTFamilyParams, ParaboloidCurve, PlaneSection,
-                               ProfileCurvePhi, ProfilePair, RootBranch,
-                               SignBranch, build_elliptic, build_hyperbolic,
-                               build_parabolic, cbar_frenet, kappa_bar,
-                               kappa_m, meridian_plane, mt_cone_patch,
+from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
+                               ProfilePair, RootBranch, SignBranch,
+                               build_parabolic, kappa_bar, kappa_m,
+                               meridian_plane, mt_cone_patch,
                                mt_general_gprime, mt_general_profile,
                                parabolic_closed_forms, paraboloid_point,
                                plane_section_curvature, plane_section_phi,
-                               profile_u, profile_v,
-                               section_constraint_residual)
+                               profile_u, profile_v)
 
 from helpers import random_parabolic_family
 
@@ -78,112 +76,28 @@ class TestBuildParabolic:
                     assert abs(p.G - g_cf) <= 1e-12 * max(1.0, abs(g_cf))
 
 
-class TestBuildEllipticHyperbolic:
-    # The profile slopes are chosen to satisfy the construction
-    # inequalities; the evaluated coordinates below are insensitive to the
-    # slope of g because g vanishes at the sample parameter.
-
-    def test_elliptic_point(self):
-        fp = ProfilePair(f=lambda j: 2.0 + jets.sin(j), g=lambda j: 0.5 * j,
-                         domain=Interval(-0.3, 0.3))
-        patch = build_elliptic(fp, w1=lambda j: j,
-                               w2=lambda j: Jet2.constant(0.0),
-                               v_domain=Interval(-0.5, 0.5))
-        z = jet_eval_surface(patch, 0.0, 0.0).value()
-        assert z == Vec4M(2.0, 0.0, 0.0, 0.0)
-        assert patch.kind == "elliptic"
-
-    def test_hyperbolic_point(self):
-        fp = ProfilePair(f=lambda j: Jet2.constant(1.0), g=lambda j: j,
-                         domain=Interval(-0.3, 0.3))
-        patch = build_hyperbolic(fp, w1=lambda j: Jet2.constant(0.0),
-                                 w2=lambda j: j,
-                                 v_domain=Interval(-0.5, 0.5))
-        z = jet_eval_surface(patch, 0.0, 0.0).value()
-        assert z == Vec4M(0.0, 1.0, 0.0, 0.0)
-        assert patch.kind == "hyperbolic"
-
-    def test_elliptic_admissibility(self):
-        fp = ProfilePair(f=lambda j: 2.0 + jets.sin(j), g=lambda j: 2.0 * j,
-                         domain=Interval(-0.3, 0.3))
-        with pytest.raises(AdmissibilityError) as err:
-            build_elliptic(fp, w1=lambda j: j,
-                           w2=lambda j: Jet2.constant(0.0),
-                           v_domain=Interval(-0.5, 0.5))
-        assert "f'^2 - g'^2 > 0" in str(err.value)
-
-    def test_rotation_parameters_must_move(self):
-        fp = ProfilePair(f=lambda j: 2.0 + jets.sin(j), g=lambda j: 0.5 * j,
-                         domain=Interval(-0.3, 0.3))
-        with pytest.raises(AdmissibilityError) as err:
-            build_elliptic(fp, w1=lambda j: Jet2.constant(0.4),
-                           w2=lambda j: Jet2.constant(0.0),
-                           v_domain=Interval(-0.5, 0.5))
-        assert "w1'^2 + w2'^2 > 0" in str(err.value)
-
-    def test_non_spacelike_curve_rejected(self):
-        # Moving along the boost parameter of the spacelike-axis
-        # hypersurface makes the v-lines timelike.
-        fp = ProfilePair(f=lambda j: Jet2.constant(1.0), g=lambda j: j,
-                         domain=Interval(-0.3, 0.3))
-        with pytest.raises(AdmissibilityError) as err:
-            build_hyperbolic(fp, w1=lambda j: j,
-                             w2=lambda j: Jet2.constant(0.0),
-                             v_domain=Interval(-0.5, 0.5))
-        assert "spacelike" in str(err.value)
-
-    def test_elliptic_spacelike_on_domain(self):
-        fp = ProfilePair(f=lambda j: 2.0 + jets.sin(j), g=lambda j: 0.5 * j,
-                         domain=Interval(-0.3, 0.3))
-        patch = build_elliptic(fp, w1=lambda j: j,
-                               w2=lambda j: Jet2.constant(0.0),
-                               v_domain=Interval(-0.5, 0.5))
-        for u in patch.domain.u.linspace(5):
-            for v in patch.domain.v.linspace(5):
-                p = point_data(patch, u, v)
-                assert p.E > 0 and p.E * p.G - p.F ** 2 > 0
-
-
-def _cubic_pair(k: float, c: float, g) -> ProfilePair:
+def _cubic_pair(k: float, c: float) -> ProfilePair:
     """f = c - (u - k)^3 / 3, so f' = -(u - k)^2 vanishes only at u = k,
-    on a domain whose 41 samples are the integers 0 .. 40."""
+    and g = u, so -f'*g' > 0 fails only there; on a domain whose 41
+    samples are the integers 0 .. 40."""
     return ProfilePair(f=lambda j: c - (j - k) * (j - k) * (j - k) / 3.0,
-                       g=g, domain=Interval(0.0, 40.0))
-
-
-_BUILDERS = {
-    # builder, its second inequality, a g that fails it only where f' = 0
-    "parabolic": (lambda fp: build_parabolic(fp, unit_phi()),
-                  "-f'*g' > 0", lambda j: j),
-    "elliptic": (lambda fp: build_elliptic(
-                     fp, w1=lambda j: j, w2=lambda j: Jet2.constant(0.0),
-                     v_domain=Interval(-0.5, 0.5)),
-                 "f'^2 - g'^2 > 0", lambda j: Jet2.constant(1.0)),
-    "hyperbolic": (lambda fp: build_hyperbolic(
-                       fp, w1=lambda j: Jet2.constant(0.0), w2=lambda j: j,
-                       v_domain=Interval(-0.5, 0.5)),
-                   "f'^2 + g'^2 > 0", lambda j: Jet2.constant(1.0)),
-}
+                       g=lambda j: j, domain=Interval(0.0, 40.0))
 
 
 class TestAdmissibilityOrder:
     """The profile pair is checked sample by sample, f > 0 first."""
 
-    @pytest.mark.parametrize("name", sorted(_BUILDERS))
-    def test_earlier_sample_wins(self, name):
-        build, inequality, g = _BUILDERS[name]
-        # The second inequality fails at u = 10 only; f > 0 from u = 30 on.
+    def test_earlier_sample_wins(self):
+        # -f'*g' > 0 fails at u = 10 only; f > 0 from u = 30 on.
         with pytest.raises(AdmissibilityError) as err:
-            build(_cubic_pair(10.0, 2500.0, g))
+            build_parabolic(_cubic_pair(10.0, 2500.0), unit_phi())
         assert (err.value.inequality, err.value.variable,
-                err.value.value) == (inequality, "u", 10.0)
+                err.value.value) == ("-f'*g' > 0", "u", 10.0)
 
-    @pytest.mark.parametrize("name", sorted(_BUILDERS))
-    def test_f_positive_is_named_when_both_fail(self, name):
-        build, _, g = _BUILDERS[name]
+    def test_f_positive_is_named_when_both_fail(self):
         # f = 0 and f' = 0 at u = 30; both hold at every earlier sample.
         with pytest.raises(AdmissibilityError) as err:
-            build(_cubic_pair(30.0, 0.0, g))
+            build_parabolic(_cubic_pair(30.0, 0.0), unit_phi())
         assert (err.value.inequality, err.value.variable,
                 err.value.value) == ("f > 0", "u", 30.0)
 
@@ -372,7 +286,9 @@ class TestPlaneSectionPhi:
             branch = rng.choice([RootBranch.PLUS, RootBranch.MINUS])
             phi = plane_section_phi(a, b, c, branch)
             for v in phi.domain.linspace(50, inset=0.01):
-                assert section_constraint_residual(a, b, c, phi, v) <= 1e-10
+                p = profile_v(phi.phi, v).val
+                theta = a * math.cos(v) + b * math.sin(v)
+                assert abs(p * p / 2.0 + theta * p + c) <= 1e-10
 
 
 class TestPlaneSectionCurvature:
@@ -409,69 +325,6 @@ class TestPlaneSectionCurvature:
             for v in phi.domain.linspace(25, inset=0.02):
                 assert abs(kappa_bar(phi, v) - expected) <= 1e-8
             checked += 1
-
-
-class TestCbarFrenet:
-    def test_unit_circle_values(self):
-        zbar, tbar, kb = cbar_frenet(unit_phi(), 0.0)
-        want = E1 + XI1.scale(0.5) + XI2
-        for got, exp in zip(zbar.coords(), want.coords()):
-            assert abs(got - exp) <= 1e-15
-        assert tbar == E2
-        assert abs(kb + 1.0) <= 1e-14
-
-    def test_curve_is_lightlike_position_spacelike_tangent(self):
-        rng = random.Random(31)
-        for _ in range(25):
-            base = rng.uniform(0.8, 2.5)
-            amp = rng.uniform(0.0, base - 0.4)
-            phi = ProfileCurvePhi(
-                phi=lambda j, b=base, a=amp: b + a * jets.sin(j),
-                domain=Interval(0.0, TWO_PI))
-            v = rng.uniform(0.0, TWO_PI)
-            zbar, tbar, kb = cbar_frenet(phi, v)
-            assert abs(inner(zbar, zbar)) <= 1e-12
-            assert abs(inner(tbar, tbar) - 1.0) <= 1e-12
-            assert abs(kb - kappa_bar(phi, v)) <= 1e-13
-
-
-class TestParaboloidCurve:
-    def test_frenet_equations_hold(self):
-        # dt/ds = kappa n with unit spacelike n orthogonal to t.
-        rng = random.Random(37)
-        for _ in range(15):
-            base = rng.uniform(0.8, 2.2)
-            amp = rng.uniform(0.0, base - 0.5)
-            curve = ParaboloidCurve(ProfileCurvePhi(
-                phi=lambda j, b=base, a=amp: b + a * jets.cos(j),
-                domain=Interval(0.0, TWO_PI)))
-            v = rng.uniform(0.0, TWO_PI)
-            _, tbar, kb = curve.frenet(v)
-            n = curve.normal(v)
-            assert abs(inner(n, n) - 1.0) <= 1e-10
-            assert abs(inner(tbar, n)) <= 1e-10
-            # central-difference dt/ds against kappa * n
-            h = 1e-6
-            _, t_plus, _ = curve.frenet(v + h)
-            _, t_minus, _ = curve.frenet(v - h)
-            pj = profile_v(curve.phi.phi, v)
-            speed = math.sqrt(pj.dv ** 2 + pj.val ** 2)
-            dt_ds = (t_plus - t_minus).scale(1.0 / (2.0 * h * speed))
-            want = n.scale(kb)
-            for a, b in zip(dt_ds.coords(), want.coords()):
-                assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
-
-    def test_circle_normal(self):
-        curve = ParaboloidCurve(unit_phi())
-        n = curve.normal(0.3)
-        assert abs(n.x1 - math.cos(0.3)) <= 1e-12
-        assert abs(n.x2 - math.sin(0.3)) <= 1e-12
-        assert abs(n.x3) <= 1e-12 and abs(n.x4) <= 1e-12
-
-    def test_point_matches_frenet_position(self):
-        curve = ParaboloidCurve(unit_phi())
-        zbar, _, _ = curve.frenet(1.1)
-        assert (curve.point(1.1) - zbar).euclidean_norm() <= 1e-14
 
 
 class TestMeridianPlane:

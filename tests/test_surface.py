@@ -14,8 +14,7 @@ from minksurf.jets import Jet2, Jet2Vec4
 from minksurf.minkowski import (E1, E2, E3, E4, CausalCharacter,
                                 NullFrameCoords, Vec4M, causal_character,
                                 inner, to_null_frame)
-from minksurf.surface import (Interval, PointData, PointKind, Rect,
-                              SurfacePatch, classify_point,
+from minksurf.surface import (Interval, PointData, Rect, SurfacePatch,
                               is_marginally_trapped,
                               jet_eval_surface, normal_frame, point_data,
                               point_data_from_derivatives)
@@ -214,25 +213,26 @@ class TestMarginallyTrapped:
         assert not is_marginally_trapped(p)
 
 
-class TestClassifyPoint:
+class TestSecondFormAtPoint:
+    """L, M, N and the sign of k = LN - M^2 at characteristic points."""
+
     def test_cone_is_flat_points(self):
         patch = mt_cone_patch(-0.5, 0.0, unit_phi())
-        cls = classify_point(point_data(patch, 2.0, 1.0))
-        assert cls.kind is PointKind.FLAT_POINT
-        assert cls.asymptotic_tangents is None
+        p = point_data(patch, 2.0, 1.0)
+        assert max(abs(p.L), abs(p.M), abs(p.N)) <= 1e-10
 
-    def test_general_family_two_tangents(self):
+    def test_general_family_negative_k(self):
         prof = mt_general_profile(MTFamilyParams(a=-1.0, b=0.0, c=1.0))
         patch = build_parabolic(prof, unit_phi())
-        cls = classify_point(point_data(patch, 1.0, 0.3))
-        assert cls.kind is PointKind.REGULAR
-        assert cls.asymptotic_tangents == 2
+        p = point_data(patch, 1.0, 0.3)
+        assert max(abs(p.L), abs(p.M), abs(p.N)) > 1e-10
+        assert p.k < -1e-10
 
-    def test_positive_k_no_tangents(self):
+    def test_saddle_positive_k(self):
         # Two independent saddle graphs along e3 and e4 make the normal
         # image genuinely two-dimensional with L*N - M^2 > 0.  (A sphere
         # inside a spacelike hyperplane would not do: its normal image is
-        # one-dimensional, so every point is a flat point here.)
+        # one-dimensional, so L = M = N = 0 at every point.)
         def saddle(ju: Jet2, jv: Jet2) -> Jet2Vec4:
             return Jet2Vec4(ju, jv, (ju * ju - jv * jv) * 0.5,
                             (0.6 * ju) * jv)
@@ -241,14 +241,11 @@ class TestClassifyPoint:
                              domain=Rect(Interval(-0.4, 0.4),
                                          Interval(-0.4, 0.4)))
         p = point_data(patch, 0.0, 0.0)
-        assert p.k > 0
-        cls = classify_point(p)
-        assert cls.kind is PointKind.REGULAR
-        assert cls.asymptotic_tangents == 0
+        assert p.k > 1e-10
 
-    def test_single_asymptotic_tangent(self):
+    def test_ridge_zero_k(self):
         # One nonzero column in the normal coefficients gives
-        # L != 0, M = N = 0, hence k = 0 at a non-flat point.
+        # L != 0, M = N = 0, hence k = 0 where the form does not vanish.
         def ridge(ju: Jet2, jv: Jet2) -> Jet2Vec4:
             return Jet2Vec4(ju, jv, (ju * ju) * 0.5, (0.5 * ju) * jv)
 
@@ -256,13 +253,11 @@ class TestClassifyPoint:
                              domain=Rect(Interval(-0.4, 0.4),
                                          Interval(-0.4, 0.4)))
         p = point_data(patch, 0.0, 0.0)
-        cls = classify_point(p)
-        assert cls.kind is PointKind.REGULAR
+        assert max(abs(p.L), abs(p.M), abs(p.N)) > 1e-10
         assert abs(p.k) <= 1e-12
-        assert cls.asymptotic_tangents == 1
 
     def test_hyperplane_sphere_is_flat(self):
-        # Supporting check for the comment above.
+        # Supporting check for the comment on the saddle.
         def sphere(ju: Jet2, jv: Jet2) -> Jet2Vec4:
             return Jet2Vec4(jets.cos(ju) * jets.cos(jv),
                             jets.cos(ju) * jets.sin(jv),
@@ -273,7 +268,6 @@ class TestClassifyPoint:
                                          Interval(-0.5, 0.5)))
         p = point_data(patch, 0.1, 0.2)
         assert max(abs(p.L), abs(p.M), abs(p.N)) <= 1e-12
-        assert classify_point(p).kind is PointKind.FLAT_POINT
 
 
 class TestFrameIndependence:

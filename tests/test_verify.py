@@ -7,11 +7,11 @@ import pytest
 from minksurf import jets
 from minksurf.errors import ParamError, UsageError
 from minksurf.jets import Jet2, Jet2Vec4
-from minksurf.surface import Interval, SurfacePatch
+from minksurf.surface import Interval, Rect, SurfacePatch
 from minksurf.meridian import (MTFamilyParams, ParabolicFamily,
                                ProfileCurvePhi, ProfilePair, RootBranch,
-                               SignBranch, build_elliptic, build_parabolic,
-                               kappa_bar, mt_cone_patch, mt_general_profile,
+                               SignBranch, build_parabolic, kappa_bar,
+                               mt_cone_patch, mt_general_profile,
                                plane_section_phi)
 from minksurf import verify
 from minksurf.verify import (GridSpec, VerificationReport, claim_suite,
@@ -58,11 +58,13 @@ class TestFlatNormalConnection:
         assert report.passed
 
     def test_rejects_non_parabolic(self):
-        fp = ProfilePair(f=lambda j: 2.0 + jets.sin(j), g=lambda j: 0.5 * j,
-                         domain=Interval(-0.3, 0.3))
-        patch = build_elliptic(fp, w1=lambda j: j,
-                               w2=lambda j: Jet2.constant(0.0),
-                               v_domain=Interval(-0.5, 0.5))
+        def plane(ju: Jet2, jv: Jet2) -> Jet2Vec4:
+            return Jet2Vec4(ju, jv, Jet2.constant(0.0), Jet2.constant(0.0))
+
+        patch = SurfacePatch(immersion=plane,
+                             domain=Rect(Interval(-0.3, 0.3),
+                                         Interval(-0.5, 0.5)))
+        assert patch.kind == "generic"
         with pytest.raises(UsageError):
             verify_flat_normal_connection(
                 patch, GridSpec.for_patch(patch, 5, 5))
