@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 from .errors import Error, UsageError
 from .expr import compile_profile
@@ -32,12 +33,26 @@ from .verify import GridSpec, claim_suite, render_reports
 from . import exporters
 
 
+def _real(text: str, what: str, positive: bool = False) -> float:
+    """The finite real (> 0 if ``positive``) that ``text`` spells, else a
+    UsageError; as an argparse ``type`` it bypasses argparse's errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (0.0 if positive else -math.inf) < x < math.inf:
+        need = "value > 0" if positive else "real"
+        raise UsageError(f"{what} needs a finite {need}, got {text!r}")
+    return x
+
+
 def _parse_axis(spec: str, name: str) -> tuple[float, float, int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"--{name} must be start:end:count, got {spec!r}")
+    lo = _real(parts[0], f"--{name} start")
+    hi = _real(parts[1], f"--{name} end")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
         raise UsageError(f"--{name} must be start:end:count, got {spec!r}") from None
@@ -58,12 +73,7 @@ def _parse_section(spec: str) -> PlaneSection:
     missing = {"A", "B", "C", "root"} - set(fields)
     if missing:
         raise UsageError(f"--section is missing {sorted(missing)}")
-    try:
-        a = float(fields["A"])
-        b = float(fields["B"])
-        c = float(fields["C"])
-    except ValueError as exc:
-        raise UsageError(f"--section has a malformed number: {exc}") from None
+    a, b, c = (_real(fields[k], f"--section {k}") for k in "ABC")
     root = _parse_branch(fields["root"], RootBranch, "--section root")
     return PlaneSection(a, b, c, root)
 
@@ -76,14 +86,17 @@ def _parse_branch(text: str, enum_cls, what: str):
 
 
 def _parse_projection(spec: str):
-    try:
-        entries = [float(x) for x in spec.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--projection has a malformed number: {exc}") from None
+    entries = [_real(x, "--projection entry") for x in spec.split(",")]
     if len(entries) != 12:
         raise UsageError(
             f"--projection needs 12 comma-separated reals, got {len(entries)}")
     return tuple(tuple(entries[r * 4:(r + 1) * 4]) for r in range(3))
+
+
+def _check_range(name: str, rng: Interval, domain: Interval, what: str):
+    if not (domain.contains(rng.lo) and domain.contains(rng.hi)):
+        raise UsageError(f"--{name} range [{rng.lo}, {rng.hi}] exits the "
+                         f"{what} [{domain.lo}, {domain.hi}]")
 
 
 def _grid(args) -> GridSpec:
@@ -113,11 +126,12 @@ def _export(patch, grid, args, positions_only: bool = False) -> None:
         raise UsageError("nothing to do: pass --csv and/or --obj")
 
 
-def _phi_from_args(args, v_range: Interval) -> ProfileCurvePhi:
-    if getattr(args, "section", None):
-        section = _parse_section(args.section)
+def _phi_from_args(args, section, v_range: Interval) -> ProfileCurvePhi:
+    if section is not None:
         base = plane_section_phi(section.A, section.B, section.C,
                                  section.root_branch)
+        if section.C > 0.0:     # else phi is periodic, defined for every v
+            _check_range("v", v_range, base.domain, "section's arc")
         return ProfileCurvePhi(base.phi, v_range)
     if getattr(args, "phi_expr", None):
         return ProfileCurvePhi(compile_profile(args.phi_expr, "v"), v_range)
@@ -126,6 +140,7 @@ def _phi_from_args(args, v_range: Interval) -> ProfileCurvePhi:
 
 def _cmd_family(args) -> int:
     grid = _grid(args)
+    section = _parse_section(args.section) if args.section else None
     if args.type == "parabolic-mt":
         for name in ("a", "b", "c"):
             if getattr(args, name) is None:
@@ -133,26 +148,22 @@ def _cmd_family(args) -> int:
                                  f"(c != 0, a != 0)")
         if args.sign is None:
             raise UsageError("--sign is required for parabolic-mt")
-        if not args.section:
+        if section is None:
             raise UsageError("--section is required for parabolic-mt")
         branch = _parse_branch(args.sign, SignBranch, "--sign")
         params = MTFamilyParams(a=args.a, b=args.b, c=args.c,
-                                sign_branch=branch,
-                                section=_parse_section(args.section))
+                                sign_branch=branch, section=section)
         prof = mt_general_profile(params)
-        if not (prof.domain.contains(grid.u_range.lo)
-                and prof.domain.contains(grid.u_range.hi)):
-            raise UsageError(
-                f"--u range [{grid.u_range.lo}, {grid.u_range.hi}] exits the "
-                f"admissible profile domain [{prof.domain.lo}, {prof.domain.hi}]")
+        _check_range("u", grid.u_range, prof.domain,
+                     "admissible profile domain")
         fp = ProfilePair(prof.f, prof.g, grid.u_range)
-        phi = _phi_from_args(args, grid.v_range)
+        phi = _phi_from_args(args, section, grid.v_range)
         patch = build_parabolic(fp, phi, label="general lightlike-H family")
     elif args.type == "cone":
         for name in ("a", "b"):
             if getattr(args, name) is None:
                 raise UsageError(f"--{name} is required for cone")
-        phi = _phi_from_args(args, grid.v_range)
+        phi = _phi_from_args(args, section, grid.v_range)
         patch = mt_cone_patch(args.a, args.b, phi, u_range=grid.u_range)
     else:
         raise UsageError(f"unknown family type {args.type!r}")
@@ -213,8 +224,6 @@ def _cmd_section(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite != "paper":
         raise UsageError(f"unknown suite {args.suite!r}")
-    if not 0.0 < args.tol < math.inf:
-        raise UsageError(f"--tol needs a finite value > 0, got {args.tol!r}")
     reports = claim_suite(tol=args.tol)
     sys.stdout.write(render_reports(reports))
     return 0 if all(r.passed for r in reports) else 1
@@ -227,21 +236,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "surfaces in Minkowski 4-space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid_and_output(p, with_projection=True):
+    def add_grid_and_output(p):
         p.add_argument("--u", help="u grid as start:end:count")
         p.add_argument("--v", help="v grid as start:end:count")
         p.add_argument("--csv", help="output CSV path")
         p.add_argument("--obj", help="output OBJ path")
-        if with_projection:
-            p.add_argument("--projection",
-                           help="3x4 projection, 12 comma-separated reals "
-                                "(row major; default drops x4)")
+        p.add_argument("--projection",
+                       help="3x4 projection, 12 comma-separated reals "
+                            "(row major; default drops x4)")
 
     fam = sub.add_parser("family", help="build a closed-form family")
     fam.add_argument("--type", required=True, choices=["parabolic-mt", "cone"])
-    fam.add_argument("--a", type=float)
-    fam.add_argument("--b", type=float)
-    fam.add_argument("--c", type=float)
+    fam.add_argument("--a", type=partial(_real, what="--a"))
+    fam.add_argument("--b", type=partial(_real, what="--b"))
+    fam.add_argument("--c", type=partial(_real, what="--c"))
     fam.add_argument("--sign", help="plus or minus")
     fam.add_argument("--section", help="A=..,B=..,C=..,root=plus|minus")
     fam.add_argument("--phi-expr", dest="phi_expr",
@@ -264,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
 
     sec = sub.add_parser("section", help="plane section of the paraboloid")
-    sec.add_argument("--A", type=float, required=True)
-    sec.add_argument("--B", type=float, required=True)
-    sec.add_argument("--C", type=float, required=True)
+    sec.add_argument("--A", type=partial(_real, what="--A"), required=True)
+    sec.add_argument("--B", type=partial(_real, what="--B"), required=True)
+    sec.add_argument("--C", type=partial(_real, what="--C"), required=True)
     sec.add_argument("--root", default="plus", help="plus or minus")
     sec.add_argument("--samples", type=int, default=1000)
     sec.add_argument("--csv", help="per-sample CSV path")
@@ -274,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", default="paper")
-    ver.add_argument("--tol", type=float, default=1e-9)
+    ver.add_argument("--tol", default=1e-9,
+                     type=partial(_real, what="--tol", positive=True))
     ver.set_defaults(func=_cmd_verify)
 
     return parser

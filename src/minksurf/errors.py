@@ -35,8 +35,8 @@ class NotSpacelike(Error):
 class DegenerateFrame(Error):
     """No orthonormal normal frame of signature (1,1) could be built.
 
-    Carries the offending quantity: <nu,nu> of the normal projection of
-    e4, the best spacelike normal square, or a supplied frame's residual.
+    Carries the offending quantity: <nu,nu> of the projected e4, <x,x>
+    of the cross product giving n1, or a supplied frame's residual.
     """
 
     def __init__(self, message: str, quantity: float):

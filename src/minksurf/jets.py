@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import DomainError
 from .minkowski import Vec4M, elementary, first_failure
 
@@ -150,11 +152,26 @@ def ln(x: Jet2) -> Jet2:
     return _chain(x, elementary(x.val).log(x.val), inv, -inv * inv)
 
 
+def _in_float_range(func: str, x: Jet2, requirement: str, compute) -> tuple:
+    """``compute()``, or DomainError at the first finite argument with an
+    infinite result: math and float ``**`` raise, ``*`` and numpy give inf."""
+    if isinstance(x.val, np.ndarray):
+        with np.errstate(over="ignore"):
+            results = compute()
+        overflow = np.any(np.isinf(results), axis=0)
+    else:
+        try:
+            results = compute()
+            overflow = math.inf in map(abs, results)
+        except OverflowError:
+            results, overflow = (), True
+    _require(func, overflow & (abs(x.val) < math.inf), x, requirement)
+    return results
+
+
 def exp(x: Jet2) -> Jet2:
-    try:
-        e = elementary(x.val).exp(x.val)
-    except OverflowError:
-        raise DomainError("exp", x.val, "exp(x) within float range") from None
+    e, = _in_float_range("exp", x, "exp(x) within float range",
+                         lambda: (elementary(x.val).exp(x.val),))
     return _chain(x, e, e, e)
 
 
@@ -167,14 +184,11 @@ def reciprocal(x: Jet2) -> Jet2:
 def powr(x: Jet2, p: float) -> Jet2:
     """x**p for a real exponent; requires x > 0."""
     _require("pow-by-real", x.val <= 0.0, x, "argument > 0")
-    try:
-        f0 = x.val ** p
-        f1 = p * x.val ** (p - 1.0)
-        f2 = p * (p - 1.0) * x.val ** (p - 2.0)
-    except OverflowError:
-        raise DomainError("pow-by-real", x.val,
-                          f"x**{p!r} and its derivatives within float range"
-                          ) from None
+    f0, f1, f2 = _in_float_range(
+        "pow-by-real", x,
+        f"x**{p!r} and its derivatives within float range",
+        lambda: (x.val ** p, p * x.val ** (p - 1.0),
+                 p * (p - 1.0) * x.val ** (p - 2.0)))
     return _chain(x, f0, f1, f2)
 
 

@@ -80,21 +80,33 @@ def profile_v(fn: ProfileFn, v: float) -> Jet2:
 # curvature of the parametric lines
 # ---------------------------------------------------------------------------
 
-def kappa_m(fp: ProfilePair, u: float) -> float:
-    """Curvature of the meridian line: (f'g'' - g'f'') / (-2f'g')^(3/2)."""
-    return _kappa_m(profile_u(fp.f, u), profile_u(fp.g, u), u)
-
-
-def _require(inequality: str, failed, variable: str, value) -> None:
-    bad = first_failure(failed, value)
+def _positive(inequality: str, x, variable: str, at):
+    """x, checked > 0 (NaN fails); an error names the first failing ``at``."""
+    bad = first_failure((x <= 0.0) | (x != x), at)
     if bad:
         raise AdmissibilityError(inequality, variable, *bad)
+    return x
 
 
-def _kappa_m(fj: Jet2, gj: Jet2, u: float) -> float:
-    p = -2.0 * fj.du * gj.du
-    _require("-f'*g' > 0", p <= 0.0, "u", u)
-    return (fj.du * gj.duu - gj.du * fj.duu) / p ** 1.5
+def _meridian_e(fj: Jet2, gj: Jet2, u: float) -> float:
+    """E = -2 f'g', checked for -f'*g' > 0."""
+    return _positive("-f'*g' > 0", -2.0 * fj.du * gj.du, "u", u)
+
+
+def _phi_q(pj: Jet2, v: float) -> float:
+    """phi'^2 + phi^2, checked to be > 0."""
+    return _positive("phi'^2 + phi^2 > 0", pj.dv * pj.dv + pj.val * pj.val,
+                     "v", v)
+
+
+def kappa_m(fp: ProfilePair, u: float) -> float:
+    """Curvature of the meridian line: (f'g'' - g'f'') / (-2f'g')^(3/2)."""
+    fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)
+    return _kappa_m(fj, gj, _meridian_e(fj, gj, u))
+
+
+def _kappa_m(fj: Jet2, gj: Jet2, e: float) -> float:
+    return (fj.du * gj.duu - gj.du * fj.duu) / e ** 1.5
 
 
 def kappa_bar(phi: ProfileCurvePhi, v: float) -> float:
@@ -105,34 +117,11 @@ def kappa_bar(phi: ProfileCurvePhi, v: float) -> float:
 
 def kappa_bar_of_jet(pj: Jet2, v: float) -> float:
     """:func:`kappa_bar` from phi's jet ``pj``, already evaluated at v."""
-    q = pj.dv * pj.dv + pj.val * pj.val
-    _require("phi'^2 + phi^2 > 0", q <= 0.0, "v", v)
+    return _kappa_bar(pj, _phi_q(pj, v))
+
+
+def _kappa_bar(pj: Jet2, q: float) -> float:
     return (pj.val * pj.dvv - 2.0 * pj.dv * pj.dv - pj.val * pj.val) / q ** 1.5
-
-
-# ---------------------------------------------------------------------------
-# admissibility checks (sampled)
-# ---------------------------------------------------------------------------
-
-_CHECK_SAMPLES = 41
-
-
-def _check_profile_pair(fp: ProfilePair) -> None:
-    """f > 0 and -f'*g' > 0 at each sample, f > 0 checked first."""
-    for u in fp.domain.linspace(_CHECK_SAMPLES):
-        fj = profile_u(fp.f, u)
-        gj = profile_u(fp.g, u)
-        if not fj.val > 0.0:
-            raise AdmissibilityError("f > 0", "u", u)
-        if not -fj.du * gj.du > 0.0:
-            raise AdmissibilityError("-f'*g' > 0", "u", u)
-
-
-def _check_phi(phi: ProfileCurvePhi) -> None:
-    for v in phi.domain.linspace(_CHECK_SAMPLES):
-        pj = profile_v(phi.phi, v)
-        if not pj.dv * pj.dv + pj.val * pj.val > 0.0:
-            raise AdmissibilityError("phi'^2 + phi^2 > 0", "v", v)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +129,7 @@ def _check_phi(phi: ProfileCurvePhi) -> None:
 # ---------------------------------------------------------------------------
 
 _SLOTS = struct.Struct("6d")
+_CHECK_SAMPLES = 41
 
 
 def _line_key(j: Jet2) -> Optional[bytes]:
@@ -204,10 +194,8 @@ def parabolic_normal_frame(fp: ProfilePair, phi: ProfileCurvePhi,
     def frame(u: float, v: float) -> tuple[Vec4M, Vec4M]:
         fj, gj = u_line(Jet2.seed_u(u))
         pj, cvj, svj = v_line(Jet2.seed_v(v))
-        p = -fj.du * gj.du
-        _require("-f'*g' > 0", p <= 0.0, "u", u)
-        q = pj.dv * pj.dv + pj.val * pj.val
-        _require("phi'^2 + phi^2 > 0", q <= 0.0, "v", v)
+        _meridian_e(fj, gj, u)
+        q = _phi_q(pj, v)
         ops = elementary(u, v)
         sv, cv = svj.val, cvj.val
         # Flipping n1 with the sign of f' keeps {z_u, z_v, n1, n2}
@@ -240,8 +228,12 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi,
     memo of profile jets per u line and per v line, so a grid of nu x nv
     points evaluates f and g nu times and phi nv times.
     """
-    _check_profile_pair(fp)
-    _check_phi(phi)
+    for u in fp.domain.linspace(_CHECK_SAMPLES):
+        fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)
+        _positive("f > 0", fj.val, "u", u)     # f > 0 first at each sample
+        _meridian_e(fj, gj, u)
+    for v in phi.domain.linspace(_CHECK_SAMPLES):
+        _phi_q(profile_v(phi.phi, v), v)
     u_line, v_line = _profile_lines(fp, phi)
 
     def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
@@ -308,13 +300,12 @@ def parabolic_closed_forms(fp: ProfilePair, phi: ProfileCurvePhi,
         H1 = sign(f') kappa_bar / (2 f),
         H2 = (sign(f') kappa_m + |f'| / (f sqrt(-2 f' g'))) / 2.
     """
-    fj = profile_u(fp.f, u)
-    gj = profile_u(fp.g, u)
+    fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)
     pj = profile_v(phi.phi, v)
-    km = _kappa_m(fj, gj, u)
-    kb = kappa_bar_of_jet(pj, v)
-    e = -2.0 * fj.du * gj.du
-    q = pj.dv * pj.dv + pj.val * pj.val
+    e = _meridian_e(fj, gj, u)
+    q = _phi_q(pj, v)
+    km = _kappa_m(fj, gj, e)
+    kb = _kappa_bar(pj, q)
     f = fj.val
     g = f * f * q
     ops = elementary(u, v)

@@ -15,7 +15,8 @@ frame-dependent quantities reproducible; k, K, H and |kappa_normal| do not
 depend on them.  A surface family may install its own preferred frame on
 the patch (see :class:`SurfacePatch.frame`); the canonical construction
 projects e4 (always timelike in the normal space of a spacelike tangent
-plane) and the best of e3, e1, e2.
+plane) for n2 and takes n1 from the Minkowski cross product of z_u, z_v
+and n2.
 
 Everything here takes (u, v) as floats or as equal-length float64 arrays
 and runs the same code for both (see :mod:`minksurf.minkowski`).  An array
@@ -26,14 +27,13 @@ that check fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .errors import DegenerateFrame, DomainError, NotSpacelike
 from .jets import Jet2, Jet2Vec4
-from .minkowski import (E1, E2, E3, E4, ZERO, CausalCharacter, Vec4M,
-                        causal_character, elementary, first_failure, inner)
+from .minkowski import (E4, ZERO, CausalCharacter, Vec4M, causal_character,
+                        elementary, first_failure, inner)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,24 +111,28 @@ def jet_eval_surface(patch: SurfacePatch, u: float, v: float) -> Jet2Vec4:
     return patch.immersion(Jet2.seed_u(u), Jet2.seed_v(v))
 
 
-def _det4(a: Vec4M, b: Vec4M, c: Vec4M, d: Vec4M) -> float:
-    """Determinant of the 4x4 matrix with columns a, b, c, d."""
-    m = (a.coords(), b.coords(), c.coords(), d.coords())
+def _project_normal(w: Vec4M, z_u: Vec4M, z_v: Vec4M,
+                    e: float, f: float, g: float, det2: float) -> Vec4M:
+    """w minus its projection onto span{z_u, z_v}, of Gram determinant det2."""
+    wu = inner(w, z_u)
+    wv = inner(w, z_v)
+    alpha = (g * wu - f * wv) / det2
+    beta = (e * wv - f * wu) / det2
+    return w - z_u.scale(alpha) - z_v.scale(beta)
 
-    def minor3(rows, cols):
-        (r0, r1, r2) = rows
-        (c0, c1, c2) = cols
-        return (m[c0][r0] * (m[c1][r1] * m[c2][r2] - m[c1][r2] * m[c2][r1])
-                - m[c1][r0] * (m[c0][r1] * m[c2][r2] - m[c0][r2] * m[c2][r1])
-                + m[c2][r0] * (m[c0][r1] * m[c1][r2] - m[c0][r2] * m[c1][r1]))
 
-    det = 0.0
-    sign = 1.0
-    for col in range(4):
-        cols = tuple(c for c in range(4) if c != col)
-        det += sign * m[col][0] * minor3((1, 2, 3), cols)
-        sign = -sign
-    return det
+def _cross(a: Vec4M, b: Vec4M, c: Vec4M) -> Vec4M:
+    """x with <x, w> = det[a | b | c | w] for every w, from 3x3 minors."""
+    p12 = a.x1 * b.x2 - a.x2 * b.x1
+    p13 = a.x1 * b.x3 - a.x3 * b.x1
+    p14 = a.x1 * b.x4 - a.x4 * b.x1
+    p23 = a.x2 * b.x3 - a.x3 * b.x2
+    p24 = a.x2 * b.x4 - a.x4 * b.x2
+    p34 = a.x3 * b.x4 - a.x4 * b.x3
+    return Vec4M(c.x3 * p24 - c.x2 * p34 - c.x4 * p23,
+                 c.x1 * p34 - c.x3 * p14 + c.x4 * p13,
+                 c.x2 * p14 - c.x1 * p24 - c.x4 * p12,
+                 c.x2 * p13 - c.x1 * p23 - c.x3 * p12)
 
 
 def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
@@ -136,9 +140,9 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
 
     n2 is the normalized normal projection of e4; for a spacelike tangent
     plane that projection is always timelike and automatically
-    future-pointing.  n1 comes from the largest of the normal projections
-    of e3, e1, e2 after removing the n2 component; its sign is fixed by
-    requiring det[z_u | z_v | n1 | n2] > 0.
+    future-pointing.  n1 = -x / sqrt(<x,x>) for the cross product x of
+    z_u, z_v and n2: <x,x> = EG - F^2 > 0 in exact arithmetic, and the
+    sign makes det[z_u | z_v | n1 | n2] = sqrt(<x,x>) > 0.
     """
     e = inner(z_u, z_u)
     f = inner(z_u, z_v)
@@ -149,14 +153,7 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
         raise NotSpacelike(None, None, *bad)
     ops = elementary(e, det2)
 
-    def project_normal(w: Vec4M) -> Vec4M:
-        wu = inner(w, z_u)
-        wv = inner(w, z_v)
-        alpha = (g * wu - f * wv) / det2
-        beta = (e * wv - f * wu) / det2
-        return w - z_u.scale(alpha) - z_v.scale(beta)
-
-    nu = project_normal(E4)
+    nu = _project_normal(E4, z_u, z_v, e, f, g, det2)
     q = inner(nu, nu)
     bad = first_failure(q >= -NORMAL_TOL, q)
     if bad:
@@ -165,19 +162,12 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
             .format(*bad), *bad)
     n2 = nu.scale(1.0 / ops.sqrt(-q))
 
-    best, best_sq = ZERO, -math.inf
-    for w in (E3, E1, E2):
-        mu = project_normal(w)
-        mu = mu + n2.scale(inner(mu, n2))
-        sq = inner(mu, mu)
-        better = sq > best_sq
-        best = ops.where(better, mu, best)
-        best_sq = ops.where(better, sq, best_sq)
-    bad = first_failure(best_sq <= NORMAL_TOL, best_sq)
+    x = _cross(z_u, z_v, n2)
+    sq = inner(x, x)
+    bad = first_failure((sq <= 0.0) | (sq != sq), sq)
     if bad:
         raise DegenerateFrame("no spacelike normal direction found", *bad)
-    n1 = best.scale(1.0 / ops.sqrt(best_sq))
-    return ops.where(_det4(z_u, z_v, n1, n2) < 0.0, -n1, n1), n2
+    return x.scale(-1.0 / ops.sqrt(sq)), n2
 
 
 @dataclass(slots=True)
@@ -228,7 +218,7 @@ FrameLike = Union[FrameFn, tuple[Vec4M, Vec4M], None]
 
 # Largest orthonormality or normality residual accepted in a supplied frame.
 FRAME_TOL = 1e-8
-# Smallest |<w, w>| accepted for a normal direction of the canonical frame.
+# Smallest -<nu, nu> accepted for the projected e4 of the canonical frame.
 NORMAL_TOL = 1e-12
 # H is set to exactly ZERO when |H| <= H_FLOOR * |trace| (Euclidean norms):
 # below that it is rounding noise of the normal projection, and the ratio
@@ -314,11 +304,7 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     # second derivatives.
     trace = (z_uu.scale(g) - z_uv.scale(2.0 * f) + z_vv.scale(e)).scale(
         1.0 / (2.0 * det2))
-    tu = inner(trace, z_u)
-    tv = inner(trace, z_v)
-    alpha = (g * tu - f * tv) / det2
-    beta = (e * tv - f * tu) / det2
-    h_vec = trace - z_u.scale(alpha) - z_v.scale(beta)
+    h_vec = _project_normal(trace, z_u, z_v, e, f, g, det2)
     h_vec = ops.where(
         h_vec.euclidean_norm() <= H_FLOOR * trace.euclidean_norm(),
         ZERO, h_vec)

@@ -359,6 +359,49 @@ class TestRejectedInputs:
                                    "--tol needs a finite value > 0")
         assert out == ""
 
+    # Each of these ran on with a nan or inf: a traceback (exit 1), a
+    # `sampled mean: nan` (exit 0), or an error naming a symptom.
+    @pytest.mark.parametrize("argv,wanted", [
+        (["section", "--A", "nan", "--B", "1", "--C", "0", "--csv", "o"],
+         "--A needs a finite real, got 'nan'"),
+        (["section", "--A", "inf", "--B", "1", "--C", "0", "--csv", "o"],
+         "--A needs a finite real, got 'inf'"),
+        (["invariants", "--f-expr", "u", "--g-expr=-u", "--phi-expr", "1",
+          "--u", "0.5:inf:3", "--v", "0:1:3", "--csv", "o"],
+         "--u end needs a finite real, got 'inf'"),
+        (MT_ARGS + ["--u", "0.2:3:5", "--v", "0:6:5", "--obj", "o",
+                    "--projection", "1,0,0,0,0,1,0,0,0,0,1,nan"],
+         "--projection entry needs a finite real, got 'nan'"),
+        (["family", "--type", "cone", "--a", "nan", "--b", "0",
+          "--section", "A=0,B=0,C=-0.5,root=plus",
+          "--u", "0.2:3:5", "--v", "0:6:5", "--csv", "o"],
+         "--a needs a finite real, got 'nan'"),
+        (["family", "--type", "cone", "--a", "-0.5", "--b", "0",
+          "--section", "A=0,B=-inf,C=-0.5,root=plus",
+          "--u", "0.2:3:5", "--v", "0:6:5", "--csv", "o"],
+         "--section B needs a finite real, got '-inf'"),
+    ], ids=["section-nan", "section-inf", "axis-inf", "projection-nan",
+            "family-nan", "section-entry-inf"])
+    def test_non_finite_real(self, tmp_path, capsys, argv, wanted):
+        out = str(tmp_path / "o")
+        code = run_cli([out if a == "o" else a for a in argv])
+        self.assert_rejected(capsys, code, wanted)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_v_range_must_stay_on_the_section_arc(self, tmp_path, capsys):
+        # C > 0: the section profile lives on one arc around v = 0.
+        argv = ["family", "--type", "parabolic-mt",
+                "--a", "0.3779644730092272", "--b", "0", "--c", "1",
+                "--sign", "plus", "--section", "A=3,B=0,C=1,root=plus",
+                "--u", "0.2:1:5"]
+        out = tmp_path / "e.csv"
+        code = run_cli(argv + ["--v", "0:3:5", "--csv", str(out)])
+        self.assert_rejected(
+            capsys, code, "--v range [0.0, 3.0] exits the section's arc "
+            "[-1.0799136485054517, 1.0799136485054517]")
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli(argv + ["--v=-1:1:5", "--csv", str(out)]) == 0
+
 
 def fresh_per_point(build) -> SurfacePatch:
     """A patch that builds a new patch, with empty profile memos, for

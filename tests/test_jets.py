@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,30 @@ class TestDomainErrors:
         with pytest.raises(DomainError) as err:
             fn(Jet2.seed_u(arg))
         assert (err.value.func, err.value.value) == (func, arg)
+
+    @pytest.mark.parametrize("fn,ref,func,arg", [
+        (jets.exp, np.exp, "exp", 710.0),
+        (lambda j: jets.powr(j, 400.5), lambda x: x ** 400.5,
+         "pow-by-real", 8.0),
+        (lambda j: jets.powr(j, -4.5), lambda x: x ** -4.5,
+         "pow-by-real", 1e-50),
+        # 2.03**1000 fits; the derivative's factor 1000 takes it past.
+        (lambda j: jets.powr(j, 1000.0), lambda x: x ** 1000.0,
+         "pow-by-real", 2.03),
+    ], ids=["exp", "pow", "pow-derivative", "pow-product"])
+    def test_array_overflow_is_the_first_failing_element(
+            self, fn, ref, func, arg):
+        # An array call raises what the one-point call at its first
+        # overflowing element raises, with no numpy warning (which the
+        # test run turns into an error); in range, values are numpy's.
+        with pytest.raises(DomainError) as one:
+            fn(Jet2.seed_u(arg))
+        with pytest.raises(DomainError) as many:
+            fn(Jet2.seed_u(np.array([0.5, arg, 1.5, 2.0 * arg])))
+        assert str(many.value) == str(one.value)
+        assert type(many.value.value) is float
+        ok = np.array([0.5, 1.0, 1.5])
+        assert (fn(Jet2.seed_u(ok)).val == ref(ok)).all()
 
 
 FD_CASES = [

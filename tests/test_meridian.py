@@ -19,7 +19,8 @@ from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                                build_parabolic, kappa_bar, kappa_m,
                                meridian_plane, mt_cone_patch,
                                mt_general_gprime, mt_general_profile,
-                               parabolic_closed_forms, paraboloid_point,
+                               parabolic_closed_forms,
+                               parabolic_normal_frame, paraboloid_point,
                                plane_section_curvature, plane_section_phi,
                                profile_u, profile_v)
 
@@ -100,6 +101,56 @@ class TestAdmissibilityOrder:
             build_parabolic(_cubic_pair(30.0, 0.0), unit_phi())
         assert (err.value.inequality, err.value.variable,
                 err.value.value) == ("f > 0", "u", 30.0)
+
+
+def _nan_beyond(x0: float):
+    """The profile j * c, with c = 1 up to x0 and NaN beyond it."""
+    def profile(j: Jet2) -> Jet2:
+        c = np.where(j.val > x0, math.nan, 1.0)
+        return j * Jet2(c if c.ndim else float(c))
+    return profile
+
+
+class TestNaNFailsEveryCheck:
+    """A NaN quantity fails its inequality at every site, for one point
+    and at the first NaN point of an array call, as the sampled checks of
+    build_parabolic always did."""
+
+    DOMAIN = Interval(0.5, 2.0)
+    NAN_G = ProfilePair(f=lambda j: j, g=lambda j: -_nan_beyond(1.0)(j),
+                        domain=DOMAIN)
+    NAN_PHI = ProfileCurvePhi(phi=_nan_beyond(1.0), domain=DOMAIN)
+    PHI = ProfileCurvePhi(phi=lambda j: 1.0 + j * j, domain=DOMAIN)
+
+    @pytest.mark.parametrize("at", [1.5, np.array([0.5, 1.0, 1.5, 1.75])])
+    def test_each_site(self, at):
+        fp = identity_pair()
+        for call, inequality in (
+                (lambda: kappa_m(self.NAN_G, at), "-f'*g' > 0"),
+                (lambda: kappa_bar(self.NAN_PHI, at), "phi'^2 + phi^2 > 0"),
+                (lambda: parabolic_closed_forms(self.NAN_G, self.PHI, at, at),
+                 "-f'*g' > 0"),
+                (lambda: parabolic_closed_forms(fp, self.NAN_PHI, at, at),
+                 "phi'^2 + phi^2 > 0"),
+                (lambda: parabolic_normal_frame(self.NAN_G, self.PHI)(at, at),
+                 "-f'*g' > 0"),
+                (lambda: parabolic_normal_frame(fp, self.NAN_PHI)(at, at),
+                 "phi'^2 + phi^2 > 0")):
+            with pytest.raises(AdmissibilityError) as err:
+                call()
+            assert (err.value.inequality, err.value.value) == (inequality, 1.5)
+
+    def test_sampled_checks(self):
+        first = next(u for u in self.DOMAIN.linspace(41) if u > 1.0)
+        for fp, phi, inequality in (
+                (ProfilePair(f=_nan_beyond(1.0), g=lambda j: -j,
+                             domain=self.DOMAIN), self.PHI, "f > 0"),
+                (self.NAN_G, self.PHI, "-f'*g' > 0"),
+                (identity_pair(), self.NAN_PHI, "phi'^2 + phi^2 > 0")):
+            with pytest.raises(AdmissibilityError) as err:
+                build_parabolic(fp, phi)
+            assert (err.value.inequality, err.value.value) == (
+                inequality, first)
 
 
 class TestKappaM:

@@ -130,21 +130,21 @@ class TestPointDataCanonicalValues:
         assert inner(p.n2, E4) < 0.0
 
     def test_positive_orientation(self, flat_patch):
-        from minksurf.surface import _det4
         # Family frame and canonical frame both orient the quadruple
         # positively, including on decreasing-f profiles.
-        p = point_data(flat_patch, 1.3, 0.7)
-        assert _det4(p.z_u, p.z_v, p.n1, p.n2) > 0.0
+        def det(p):
+            return np.linalg.det(np.array(
+                [p.z_u.coords(), p.z_v.coords(), p.n1.coords(), p.n2.coords()]))
+
+        assert det(point_data(flat_patch, 1.3, 0.7)) > 0.0
         bare = SurfacePatch(immersion=flat_patch.immersion,
                             domain=flat_patch.domain)
-        q = point_data(bare, 1.3, 0.7)
-        assert _det4(q.z_u, q.z_v, q.n1, q.n2) > 0.0
+        assert det(point_data(bare, 1.3, 0.7)) > 0.0
         fp = ProfilePair(f=lambda j: 2.0 - j, g=lambda j: j * j,
                          domain=Interval(0.2, 0.9))
         phi = ProfileCurvePhi(phi=lambda j: 2.0 + jets.sin(j),
                               domain=Interval(0.0, 6.2))
-        r = point_data(build_parabolic(fp, phi), 0.5, 1.0)
-        assert _det4(r.z_u, r.z_v, r.n1, r.n2) > 0.0
+        assert det(point_data(build_parabolic(fp, phi), 0.5, 1.0)) > 0.0
 
 
 class TestNormalFrame:
@@ -165,20 +165,31 @@ class TestNormalFrame:
             assert residual.euclidean_norm() <= 1e-12, m
 
     def test_gram_matrix_generic(self):
+        # z_v scaled over twelve decades: the residuals are relative to
+        # |z_u| and |z_v|, so the tolerances need no rescaling.
         rng = random.Random(7)
-        for _ in range(25):
+        checked = 0
+        for _ in range(400):
             zu = Vec4M(rng.uniform(0.5, 2), rng.uniform(-1, 1),
                        rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
             zv = Vec4M(rng.uniform(-1, 1), rng.uniform(0.5, 2),
-                       rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
+                       rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)
+                       ).scale(10.0 ** rng.uniform(-6, 6))
             e = inner(zu, zu)
             if e <= 0 or e * inner(zv, zv) - inner(zu, zv) ** 2 <= 0:
                 continue
+            checked += 1
             n1, n2 = normal_frame(zu, zv)
             assert abs(inner(n1, n1) - 1.0) <= 1e-12
             assert abs(inner(n2, n2) + 1.0) <= 1e-12
             assert abs(inner(n1, n2)) <= 1e-12
             assert inner(n2, E4) < 0
+            for n in (n1, n2):
+                assert abs(inner(n, zu)) <= 1e-12 * zu.euclidean_norm()
+                assert abs(inner(n, zv)) <= 1e-12 * zv.euclidean_norm()
+            assert np.linalg.det(np.array(
+                [zu.coords(), zv.coords(), n1.coords(), n2.coords()])) > 0.0
+        assert checked >= 300
 
     def test_rejects_non_spacelike(self):
         with pytest.raises(NotSpacelike):
@@ -418,12 +429,6 @@ def _reproducer_patch_and_grid():
             GridSpec(200, 5, Interval(0.5, 2.0), Interval(0.0, 6.283)))
 
 
-def _tilted_tangents():
-    """A spacelike tangent plane whose best normal square is 1/3: the
-    normal space is spanned by (1, 1, 1, 0)/sqrt(3) and e4."""
-    return Vec4M(1.0, -1.0, 0.0, 0.0), Vec4M(1.0, 1.0, -2.0, 0.0)
-
-
 def _stack(*vectors: Vec4M) -> Vec4M:
     """One Vec4M of arrays holding the given vectors as its points."""
     return Vec4M(*(np.array(c) for c in zip(*(v.coords() for v in vectors))))
@@ -472,18 +477,27 @@ class TestErrorsCarryTheirPoint:
             "normal space contains no timelike direction (<nu,nu>=-1.0)")
 
     def test_no_spacelike_normal_quantity(self, monkeypatch):
-        monkeypatch.setattr(surface, "NORMAL_TOL", 0.5)
-        tu, tv = _tilted_tangents()
-        with pytest.raises(DegenerateFrame) as one:
-            normal_frame(tu, tv)
-        assert one.value.quantity == pytest.approx(1.0 / 3.0, rel=1e-15)
-        # The E1, E2 plane passes (best square 1); the tilted one is first
-        # to fail.
-        z_u = _stack(E1, tu, tu.scale(2.0))
-        z_v = _stack(E2, tv, tv)
+        # <x, x> = EG - F^2 > 0 for every spacelike plane, so only a
+        # broken cross product reaches this check: here one that adds
+        # (d1, 0, 0, d4) to x.
+        cross = surface._cross
+        d1 = d4 = 0.0
+
+        def broken(a, b, c):
+            x = cross(a, b, c)
+            return Vec4M(x.x1 + d1, x.x2, x.x3, x.x4 + d4)
+
+        monkeypatch.setattr(surface, "_cross", broken)
+        # x = -2 e3 at the second point, so <x, x> = 4 - 9 there.
+        d4 = np.array([0.0, 3.0, 0.0])
         with pytest.raises(DegenerateFrame) as many:
-            normal_frame(z_u, z_v)
-        assert many.value.quantity == one.value.quantity
+            normal_frame(_stack(E1, E1.scale(2.0), E1), _stack(E2, E2, E2))
+        assert many.value.quantity == -5.0
+        # <x, x> = inf - inf is NaN, which fails too.
+        d1 = d4 = 1e200
+        with pytest.raises(DegenerateFrame) as one:
+            normal_frame(E1, E2)
+        assert math.isnan(one.value.quantity)
         assert str(many.value) == str(one.value) == (
             "no spacelike normal direction found")
 
