@@ -158,7 +158,7 @@ def _cmd_family(args) -> int:
                      "admissible profile domain")
         fp = ProfilePair(prof.f, prof.g, grid.u_range)
         phi = _phi_from_args(args, section, grid.v_range)
-        patch = build_parabolic(fp, phi, label="general lightlike-H family")
+        patch = build_parabolic(fp, phi)
     elif args.type == "cone":
         for name in ("a", "b"):
             if getattr(args, name) is None:
@@ -180,7 +180,7 @@ def _custom_parabolic(args):
                      compile_profile(args.g_expr, "u"),
                      grid.u_range)
     phi = ProfileCurvePhi(compile_profile(args.phi_expr, "v"), grid.v_range)
-    return build_parabolic(fp, phi, label="custom parabolic patch"), grid
+    return build_parabolic(fp, phi), grid
 
 
 def _cmd_sample(args) -> int:

@@ -217,16 +217,16 @@ def parabolic_normal_frame(fp: ProfilePair, phi: ProfileCurvePhi,
     return frame
 
 
-def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi,
-                    label: str = "") -> SurfacePatch:
+def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi) -> SurfacePatch:
     """Meridian surface of a rotational hypersurface with lightlike axis.
 
     The profile inequalities are checked on a sample grid up front;
     violations raise :class:`AdmissibilityError` naming the inequality and
     the offending parameter value.  The resulting patch carries the
-    family-adapted normal frame.  The immersion and the frame share one
-    memo of profile jets per u line and per v line, so a grid of nu x nv
-    points evaluates f and g nu times and phi nv times.
+    family-adapted normal frame and its profiles ``(fp, phi)``.  The
+    immersion and the frame share one memo of profile jets per u line and
+    per v line, so a grid of nu x nv points evaluates f and g nu times and
+    phi nv times.
     """
     for u in fp.domain.linspace(_CHECK_SAMPLES):
         fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)
@@ -250,22 +250,9 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi,
     return SurfacePatch(
         immersion=immersion,
         domain=Rect(fp.domain, phi.domain),
-        label=label or "parabolic meridian surface",
-        kind="parabolic",
         frame=parabolic_normal_frame(fp, phi, _lines=(u_line, v_line)),
+        profiles=(fp, phi),
     )
-
-
-@dataclass(frozen=True)
-class ParabolicFamily:
-    """A parabolic meridian family with its profiles kept accessible."""
-
-    fp: ProfilePair
-    phi: ProfileCurvePhi
-    label: str = ""
-
-    def patch(self) -> SurfacePatch:
-        return build_parabolic(self.fp, self.phi, label=self.label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,8 +412,7 @@ def mt_general_gprime(params: MTFamilyParams, u: float) -> float:
 
 
 def mt_cone_patch(a: float, b: float, phi: ProfileCurvePhi,
-                  u_range: Interval = Interval(0.05, 5.0),
-                  label: str = "") -> SurfacePatch:
+                  u_range: Interval = Interval(0.05, 5.0)) -> SurfacePatch:
     """Straight-meridian (cone) family: f = u, g = a u + b with a < 0.
 
     Requires the generating curve's squared curvature to equal -1/(2a)
@@ -446,8 +432,7 @@ def mt_cone_patch(a: float, b: float, phi: ProfileCurvePhi,
     fp = ProfilePair(f=lambda ju: ju,
                      g=lambda ju: a * ju + b,
                      domain=u_range)
-    return build_parabolic(fp, phi,
-                           label=label or f"cone family (a={a}, b={b})")
+    return build_parabolic(fp, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +484,18 @@ def plane_section_phi(A: float, B: float, C: float,
     if C == 0.0:
         def phi_fn(jv: Jet2) -> Jet2:
             return -2.0 * _theta_jet(A, B, jv)
-        domain = Interval(v0, v0 + 2.0 * math.pi)
-    elif C < 0.0:
+    else:
         def phi_fn(jv: Jet2) -> Jet2:
             th = _theta_jet(A, B, jv)
             return -th + s_branch * jets.sqrt(th * th - 2.0 * C)
-        domain = Interval(v0, v0 + 2.0 * math.pi)
-    else:
+    domain = Interval(v0, v0 + 2.0 * math.pi)
+    if C > 0.0:
         # theta = radius * cos(v - v0); keep theta^2 - 2C >= 1e-12.
         ratio = math.sqrt(2.0 * C + 1e-12) / radius
         if ratio >= 1.0:
             raise ParamError(
                 f"admissible arc is empty for A={A!r}, B={B!r}, C={C!r}")
         half_width = math.acos(ratio)
-
-        def phi_fn(jv: Jet2) -> Jet2:
-            th = _theta_jet(A, B, jv)
-            return -th + s_branch * jets.sqrt(th * th - 2.0 * C)
         domain = Interval(v0 - half_width, v0 + half_width)
 
     return ProfileCurvePhi(phi=phi_fn, domain=domain)

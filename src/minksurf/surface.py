@@ -12,11 +12,11 @@ Conventions.  The normal frame satisfies <n1,n1> = 1, <n2,n2> = -1,
 <n1,n2> = 0, the quadruple {z_u, z_v, n1, n2} is positively oriented, and
 n2 is future-pointing (<n2, e4> < 0).  These two sign choices make the
 frame-dependent quantities reproducible; k, K, H and |kappa_normal| do not
-depend on them.  A surface family may install its own preferred frame on
-the patch (see :class:`SurfacePatch.frame`); the canonical construction
-projects e4 (always timelike in the normal space of a spacelike tangent
-plane) for n2 and takes n1 from the Minkowski cross product of z_u, z_v
-and n2.
+depend on them.  :func:`point_data` uses the patch's own frame
+(:attr:`SurfacePatch.frame`, the family-adapted frame of a parabolic
+patch) and else the canonical one, which projects e4 (always timelike in
+the normal space of a spacelike tangent plane) for n2 and takes n1 from
+the Minkowski cross product of z_u, z_v and n2.
 
 Everything here takes (u, v) as floats or as equal-length float64 arrays
 and runs the same code for both (see :mod:`minksurf.minkowski`).  An array
@@ -27,13 +27,17 @@ that check fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import DegenerateFrame, DomainError, NotSpacelike
 from .jets import Jet2, Jet2Vec4
 from .minkowski import (E4, ZERO, CausalCharacter, Vec4M, causal_character,
                         elementary, first_failure, inner)
+
+if TYPE_CHECKING:
+    from .meridian import ProfileCurvePhi, ProfilePair
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,18 +90,20 @@ class SurfacePatch:
     """An immersion over a rectangle, evaluable in jet arithmetic.
 
     ``immersion`` receives jets seeded in u and v and returns the four
-    coordinate jets.  ``kind`` labels the construction family
-    ("parabolic" for a meridian surface, else "generic"); verifiers use it
-    to reject inputs they are not meant for.  ``frame``, when present, is
-    the family's preferred normal frame and takes precedence over the
-    canonical construction in :func:`point_data`.
+    coordinate jets.  ``frame``, when present, is the family's preferred
+    normal frame of (u, v); :func:`point_data` uses it instead of the
+    canonical construction.  ``profiles`` is the (ProfilePair,
+    ProfileCurvePhi) pair a parabolic meridian patch was built from
+    (:func:`~minksurf.meridian.build_parabolic`), and None for a generic
+    patch; the certificates of :mod:`minksurf.verify` that compare with
+    the parabolic closed forms read the profiles from it and reject a
+    generic patch.
     """
 
     immersion: Callable[[Jet2, Jet2], Jet2Vec4]
     domain: Rect
-    label: str = ""
-    kind: str = "generic"
     frame: Optional[FrameFn] = None
+    profiles: Optional[tuple[ProfilePair, ProfileCurvePhi]] = None
 
 
 def jet_eval_surface(patch: SurfacePatch, u: float, v: float) -> Jet2Vec4:
@@ -135,6 +141,12 @@ def _cross(a: Vec4M, b: Vec4M, c: Vec4M) -> Vec4M:
                  c.x2 * p13 - c.x1 * p23 - c.x3 * p12)
 
 
+def _not_spacelike(e, det2):
+    """Where E or EG - F^2 is not a finite number > 0 (NaN and inf fail)."""
+    return ((e <= 0.0) | (det2 <= 0.0) | (e != e) | (det2 != det2)
+            | (e == math.inf) | (det2 == math.inf))
+
+
 def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     """Orthonormal normal frame of a spacelike tangent plane.
 
@@ -148,7 +160,7 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     f = inner(z_u, z_v)
     g = inner(z_v, z_v)
     det2 = e * g - f * f
-    bad = first_failure((e <= 0.0) | (det2 <= 0.0), e, det2)
+    bad = first_failure(_not_spacelike(e, det2), e, det2)
     if bad:
         raise NotSpacelike(None, None, *bad)
     ops = elementary(e, det2)
@@ -214,8 +226,6 @@ class PointData:
         return self.H1 * self.H1 - self.H2 * self.H2
 
 
-FrameLike = Union[FrameFn, tuple[Vec4M, Vec4M], None]
-
 # Largest orthonormality or normality residual accepted in a supplied frame.
 FRAME_TOL = 1e-8
 # Smallest -<nu, nu> accepted for the projected e4 of the canonical frame.
@@ -226,37 +236,34 @@ NORMAL_TOL = 1e-12
 H_FLOOR = 1e-12
 
 
-def point_data(patch: SurfacePatch, u: float, v: float,
-               frame: FrameLike = None) -> PointData:
-    """Compute all pointwise geometry at an interior point.
-
-    ``frame`` overrides the patch's own frame (a callable or an (n1, n2)
-    pair); see :func:`point_data_from_derivatives` for how it is checked.
-    """
+def point_data(patch: SurfacePatch, u: float, v: float) -> PointData:
+    """Compute all pointwise geometry at an interior point, in the patch's
+    own frame if it has one (see :func:`point_data_from_derivatives` for
+    how it is checked), else in the canonical frame."""
     jets = jet_eval_surface(patch, u, v)
     return point_data_from_derivatives(
         u, v, jets.value(), jets.d_u(), jets.d_v(),
-        jets.d_uu(), jets.d_uv(), jets.d_vv(), frame=frame or patch.frame)
+        jets.d_uu(), jets.d_uv(), jets.d_vv(), frame=patch.frame)
 
 
 def point_data_from_derivatives(u: float, v: float, z: Vec4M,
                                 z_u: Vec4M, z_v: Vec4M, z_uu: Vec4M,
                                 z_uv: Vec4M, z_vv: Vec4M,
-                                frame: FrameLike = None) -> PointData:
+                                frame: Optional[FrameFn] = None) -> PointData:
     """Pointwise geometry from already-computed derivative vectors.
 
     Lets a caller feed derivatives obtained by any means (for instance a
     finite-difference scheme) through the exact same formula path as
-    :func:`point_data`.  ``frame`` is a callable of (u, v) or an (n1, n2)
-    pair; it is checked for orthonormality and normality to FRAME_TOL but
-    not for orientation, so sign-flipped frames can be probed
+    :func:`point_data`.  ``frame`` is a callable of (u, v) that returns
+    (n1, n2); they are checked for orthonormality and normality to
+    FRAME_TOL but not for orientation, so sign-flipped frames can be probed
     deliberately.  Without one the canonical :func:`normal_frame` is used.
     """
     e = inner(z_u, z_u)
     f = inner(z_u, z_v)
     g = inner(z_v, z_v)
     det2 = e * g - f * f
-    bad = first_failure((e <= 0.0) | (det2 <= 0.0), u, v, e, det2)
+    bad = first_failure(_not_spacelike(e, det2), u, v, e, det2)
     if bad:
         raise NotSpacelike(*bad)
     ops = elementary(e, det2)
@@ -265,7 +272,7 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     if frame is None:
         n1, n2 = normal_frame(z_u, z_v)
     else:
-        n1, n2 = frame(u, v) if callable(frame) else frame
+        n1, n2 = frame(u, v)
         su = ops.sqrt(e)
         sv = ops.sqrt(g)
         worst = ops.max(

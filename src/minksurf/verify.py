@@ -27,8 +27,8 @@ from .surface import (Interval, SurfacePatch, is_marginally_trapped,
                       jet_eval_surface, point_data)
 # profile_v is not called here; perfbench/spans.py counts profile
 # evaluations through both names of this module.
-from .meridian import (MTFamilyParams, ParabolicFamily, ProfileCurvePhi,
-                       ProfilePair, RootBranch, build_parabolic, kappa_bar,
+from .meridian import (MTFamilyParams, ProfileCurvePhi, ProfilePair,
+                       RootBranch, build_parabolic, kappa_bar,
                        meridian_plane, mt_cone_patch, mt_general_gprime,
                        mt_general_profile, parabolic_closed_forms,
                        plane_section_curvature, plane_section_phi,
@@ -131,38 +131,47 @@ def _positions(z: Vec4M, n: int) -> np.ndarray:
     return np.stack([np.broadcast_to(x, (n,)) for x in z.coords()])
 
 
-def _require_parabolic(patch: SurfacePatch, op: str) -> None:
-    if patch.kind != "parabolic":
+# Largest |kappa_bar| that verify_case1_hyperplane accepts as zero.
+CASE1_KAPPA_TOL = 1e-11
+
+
+def _profiles(patch: SurfacePatch,
+              op: str) -> tuple[ProfilePair, ProfileCurvePhi]:
+    """The (fp, phi) a parabolic patch was built from."""
+    if patch.profiles is None:
         raise UsageError(f"{op} applies to parabolic meridian patches, "
-                         f"got kind={patch.kind!r}")
+                         f"got a generic patch")
+    return patch.profiles
 
 
 def verify_flat_normal_connection(patch: SurfacePatch, grid: GridSpec,
                                   tol: float = 1e-10) -> VerificationReport:
     """max |kappa_normal| over the grid; zero for every admissible family."""
-    _require_parabolic(patch, "verify_flat_normal_connection")
+    _profiles(patch, "verify_flat_normal_connection")
     us, vs = grid.mesh()
     p = point_data(patch, us, vs)
     return _grid_report("flat-normal-connection", abs(p.kappa_normal),
                         us, vs, tol)
 
 
-def verify_second_fundamental_form(family: ParabolicFamily, grid: GridSpec,
+def verify_second_fundamental_form(patch: SurfacePatch, grid: GridSpec,
                                    tol: float = 1e-10) -> VerificationReport:
     """L and N vanish; M matches its reduced closed form (relative)."""
+    fp, phi = _profiles(patch, "verify_second_fundamental_form")
     us, vs = grid.mesh()
-    p = point_data(family.patch(), us, vs)
-    cf = parabolic_closed_forms(family.fp, family.phi, us, vs)
+    p = point_data(patch, us, vs)
+    cf = parabolic_closed_forms(fp, phi, us, vs)
     res = _max(abs(p.L), abs(p.N), _rel(p.M, cf.M))
     return _grid_report("second-form-degenerate", res, us, vs, tol)
 
 
-def verify_closed_form_invariants(family: ParabolicFamily, grid: GridSpec,
+def verify_closed_form_invariants(patch: SurfacePatch, grid: GridSpec,
                                   tol: float = 1e-9) -> VerificationReport:
     """k, K, H1, H2 from jets against the reduced formulas (relative)."""
+    fp, phi = _profiles(patch, "verify_closed_form_invariants")
     us, vs = grid.mesh()
-    p = point_data(family.patch(), us, vs)
-    cf = parabolic_closed_forms(family.fp, family.phi, us, vs)
+    p = point_data(patch, us, vs)
+    cf = parabolic_closed_forms(fp, phi, us, vs)
     res = _max(_rel(p.k, cf.k), _rel(p.K, cf.K), _rel(p.H1, cf.H1),
                _rel(p.H2, cf.H2))
     return _grid_report("closed-form-invariants", res, us, vs, tol)
@@ -242,24 +251,26 @@ def verify_constant_section_curvature(A: float, B: float, C: float,
                                        "expected": expected})
 
 
-def verify_case1_hyperplane(phi: ProfileCurvePhi, fp: ProfilePair,
-                            grid: GridSpec, tol: float = 1e-10,
-                            kappa_tol: float = 1e-11) -> VerificationReport:
+def verify_case1_hyperplane(patch: SurfacePatch, grid: GridSpec,
+                            tol: float = 1e-10) -> VerificationReport:
     """For a zero-curvature generating profile the surface sits in a fixed
     hyperplane and is nowhere marginally trapped.
 
     Checks (i) constancy of the first normal leg over the grid, (ii) that
     <z, n1> is constant, (iii) that no sampled point has a lightlike mean
-    curvature vector unless H vanishes there.
+    curvature vector unless H vanishes there.  A generating profile whose
+    curvature exceeds CASE1_KAPPA_TOL at one of 101 samples is a usage
+    error.
     """
+    _, phi = _profiles(patch, "verify_case1_hyperplane")
     v = np.array(phi.domain.linspace(101))
     kb = np.broadcast_to(kappa_bar(phi, v), v.shape)
-    bad = first_failure(abs(kb) > kappa_tol, kb, v)
+    bad = first_failure(abs(kb) > CASE1_KAPPA_TOL, kb, v)
     if bad:
         raise UsageError("generating-curve curvature is not zero "
                          "(kappa={!r} at v={!r})".format(*bad))
     us, vs = grid.mesh()
-    p = point_data(build_parabolic(fp, phi), us, vs)
+    p = point_data(patch, us, vs)
     n1_ref = Vec4M(*_positions(p.n1, us.size)[:, 0].tolist())
     plane_ref = inner(Vec4M(*_positions(p.z, us.size)[:, 0].tolist()), n1_ref)
     dev_frame = (p.n1 - n1_ref).euclidean_norm()
@@ -273,13 +284,12 @@ def verify_case1_hyperplane(phi: ProfileCurvePhi, fp: ProfilePair,
         failure=f"{trapped} marginally trapped points" if trapped else "")
 
 
-def verify_meridian_planarity(patch: SurfacePatch, phi: ProfileCurvePhi,
-                              v0: float,
+def verify_meridian_planarity(patch: SurfacePatch, v0: float,
                               tol: float = 1e-10) -> VerificationReport:
     """Meridian at v0 stays inside the lightlike 2-plane spanned by xi1
     and the generating curve's position vector (rank-2 test, sigma3/sigma1),
     at 12 values of u inset by 1 % of the domain."""
-    _require_parabolic(patch, "verify_meridian_planarity")
+    _, phi = _profiles(patch, "verify_meridian_planarity")
     xi1, zbar = meridian_plane(phi, v0)
     us = patch.domain.u.linspace(12, inset=0.01)
     z = _positions(jet_eval_surface(patch, np.array(us), v0).value(), len(us))
@@ -300,7 +310,7 @@ def verify_cone_lightlike_hyperplane(patch: SurfacePatch, grid: GridSpec,
     Recorded as rank-3 deviation (sigma4/sigma1) plus |<l, l>| of the unit
     normal of the span.
     """
-    _require_parabolic(patch, "verify_cone_lightlike_hyperplane")
+    _profiles(patch, "verify_cone_lightlike_hyperplane")
     us, vs = grid.mesh()
     z = _positions(jet_eval_surface(patch, us, vs).value(), us.size)
     m = z[:, 1:] - z[:, :1]
@@ -333,19 +343,18 @@ def claim_suite(tol: float = 1e-9) -> list[VerificationReport]:
                          domain=Interval(0.5, 2.0))
     phi_gen = ProfileCurvePhi(phi=lambda j: 2.0 + _j.cos(j),
                               domain=Interval(0.0, two_pi))
-    family = ParabolicFamily(fp_gen, phi_gen, label="generic parabolic family")
-    patch = family.patch()
+    patch = build_parabolic(fp_gen, phi_gen)
     grid = GridSpec.for_patch(patch, 50, 50)
 
     reports.append(verify_flat_normal_connection(patch, grid, min(tol, 1e-10)))
-    reports.append(verify_second_fundamental_form(family, grid, min(tol, 1e-10)))
-    reports.append(verify_closed_form_invariants(family, grid, tol))
+    reports.append(verify_second_fundamental_form(patch, grid, min(tol, 1e-10)))
+    reports.append(verify_closed_form_invariants(patch, grid, tol))
 
     mt_params = MTFamilyParams(a=-1.0, b=0.0, c=1.0)
     mt_prof = mt_general_profile(mt_params)
     phi_unit = ProfileCurvePhi(phi=lambda j: Jet2.constant(1.0),
                                domain=Interval(0.0, two_pi))
-    mt_patch = build_parabolic(mt_prof, phi_unit, label="general lightlike-H family")
+    mt_patch = build_parabolic(mt_prof, phi_unit)
     mt_grid = GridSpec(100, 20, Interval(0.2, 3.0), Interval(0.0, two_pi))
     reports.append(replace(verify_marginally_trapped(mt_patch, mt_grid, tol),
                            claim_id="general-family-lightlike-H"))
@@ -366,10 +375,11 @@ def claim_suite(tol: float = 1e-9) -> list[VerificationReport]:
     fp_flat = ProfilePair(f=lambda j: j, g=lambda j: -j,
                           domain=Interval(0.5, 2.0))
     case1_grid = GridSpec(40, 40, Interval(0.55, 1.95), Interval(-1.15, 1.15))
-    reports.append(verify_case1_hyperplane(phi_sec, fp_flat, case1_grid,
+    reports.append(verify_case1_hyperplane(build_parabolic(fp_flat, phi_sec),
+                                           case1_grid,
                                            tol=max(1e-10, tol * 0.1)))
 
-    reports.append(verify_meridian_planarity(mt_patch, phi_unit, 0.5,
+    reports.append(verify_meridian_planarity(mt_patch, 0.5,
                                              tol=min(tol, 1e-10)))
 
     reports.append(verify_cone_lightlike_hyperplane(

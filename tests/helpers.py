@@ -5,9 +5,9 @@ import random
 
 from minksurf import jets
 from minksurf.jets import Jet2
-from minksurf.meridian import (ParabolicFamily, ProfileCurvePhi, ProfilePair,
-                               RootBranch, plane_section_phi)
-from minksurf.surface import Interval
+from minksurf.meridian import (ProfileCurvePhi, ProfilePair, RootBranch,
+                               build_parabolic, plane_section_phi)
+from minksurf.surface import Interval, SurfacePatch
 
 
 def ulps_apart(a: float, b: float) -> float:
@@ -38,8 +38,9 @@ def linear_profile_pair(a0: float, a1: float, c1: float, c3: float,
     return ProfilePair(f=lambda ju: a0 + a1 * ju, g=g, domain=domain)
 
 
-def random_parabolic_family(rng: random.Random) -> ParabolicFamily:
-    """A randomized admissible (f, g, phi) triple on a fixed box."""
+def random_parabolic_patch(rng: random.Random) -> SurfacePatch:
+    """The parabolic patch of a randomized admissible (f, g, phi) triple
+    on a fixed box."""
     u_dom = Interval(0.4, 1.6)
     a1 = rng.choice([1.0, -1.0]) * rng.uniform(0.5, 1.5)
     a0 = rng.uniform(0.3, 1.0) + max(0.0, -a1) * u_dom.hi
@@ -67,5 +68,4 @@ def random_parabolic_family(rng: random.Random) -> ParabolicFamily:
         c = rng.uniform(-2.0, -0.3)
         branch = rng.choice([RootBranch.PLUS, RootBranch.MINUS])
         phi = plane_section_phi(a, b, c, branch)
-    label = f"random family #{kind}"
-    return ParabolicFamily(fp, phi, label)
+    return build_parabolic(fp, phi)

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +28,7 @@ from minksurf.verify import (GridSpec, verify_case1_hyperplane,
                              verify_meridian_planarity, verify_ode_chain)
 
 from fd_oracle import fd_point_data
-from helpers import random_parabolic_family
+from helpers import random_parabolic_patch
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,26 +41,25 @@ def report(num: int, desc: str, value: float, bound: float, ok: bool):
 
 
 @pytest.fixture(scope="module")
-def random_families():
+def random_patches():
     rng = random.Random(20240817)
-    return [random_parabolic_family(rng) for _ in range(5)]
+    return [random_parabolic_patch(rng) for _ in range(5)]
 
 
 @pytest.fixture(scope="module")
-def family_points(random_families):
-    """(family, patch, [(u, v, PointData)]) on a 50x50 grid each."""
+def family_points(random_patches):
+    """(patch, [(u, v, PointData)]) on a 50x50 grid each."""
     out = []
-    for family in random_families:
-        patch = family.patch()
+    for patch in random_patches:
         grid = GridSpec.for_patch(patch, 50, 50)
         pts = [(u, v, point_data(patch, u, v)) for u, v in grid.points()]
-        out.append((family, patch, pts))
+        out.append((patch, pts))
     return out
 
 
 def test_criterion_01_flat_normal_connection(family_points):
     worst = 0.0
-    for _, _, pts in family_points:
+    for _, pts in family_points:
         for _, _, p in pts:
             worst = max(worst, abs(p.kappa_normal))
     report(1, "flat normal connection: max |kappa_normal| on 5 random "
@@ -69,10 +69,10 @@ def test_criterion_01_flat_normal_connection(family_points):
 def test_criterion_02_second_form_structure(family_points):
     worst_ln = 0.0
     worst_m = 0.0
-    for family, _, pts in family_points:
+    for patch, pts in family_points:
         for u, v, p in pts:
             worst_ln = max(worst_ln, abs(p.L), abs(p.N))
-            m_cf = parabolic_closed_forms(family.fp, family.phi, u, v).M
+            m_cf = parabolic_closed_forms(*patch.profiles, u, v).M
             worst_m = max(worst_m, abs(p.M - m_cf) / max(abs(m_cf), 1.0))
     ok = worst_ln <= 1e-10 and worst_m <= 1e-9
     report(2, "second fundamental form: max(|L|,|N|) and relative M "
@@ -81,9 +81,9 @@ def test_criterion_02_second_form_structure(family_points):
 
 def test_criterion_03_closed_form_invariants(family_points):
     worst = 0.0
-    for family, _, pts in family_points:
+    for patch, pts in family_points:
         for u, v, p in pts:
-            cf = parabolic_closed_forms(family.fp, family.phi, u, v)
+            cf = parabolic_closed_forms(*patch.profiles, u, v)
             for name in ("k", "K", "H1", "H2"):
                 a = getattr(p, name)
                 b = getattr(cf, name)
@@ -204,7 +204,8 @@ def test_criterion_08_zero_curvature_hyperplane():
     for g_fn in (lambda j: -j, lambda j: -(j ** 3) / 3.0):
         fp = ProfilePair(f=lambda j: j, g=g_fn, domain=Interval(0.5, 2.0))
         grid = GridSpec(40, 40, Interval(0.55, 1.95), Interval(-1.15, 1.15))
-        rep = verify_case1_hyperplane(phi, fp, grid, tol=1e-10)
+        rep = verify_case1_hyperplane(build_parabolic(fp, phi), grid,
+                                      tol=1e-10)
         worst = max(worst, rep.max_residual)
         assert rep.details["trapped_points"] == 0.0
     ok = worst_kappa <= 1e-11 and worst <= 1e-10
@@ -227,7 +228,7 @@ def test_criterion_09_meridian_planarity():
     worst = 0.0
     for patch in patches:
         for v0 in (0.4, 2.0, 5.1):
-            rep = verify_meridian_planarity(patch, phi, v0, tol=1e-10)
+            rep = verify_meridian_planarity(patch, v0, tol=1e-10)
             worst = max(worst, rep.max_residual)
 
     base = patches[0]
@@ -238,18 +239,16 @@ def test_criterion_09_meridian_planarity():
         return Jet2Vec4(z.x1, z.x2, z.x3 + 1e-3 * jets.sin(ju), z.x4)
 
     control = verify_meridian_planarity(
-        SurfacePatch(immersion=bent, domain=base.domain, kind="parabolic"),
-        phi, 0.4, tol=1e-10)
+        replace(base, immersion=bent, frame=None), 0.4, tol=1e-10)
     ok = worst <= 1e-10 and not control.passed
     report(9, f"meridians stay in their lightlike planes (3 families x 3 "
               f"sections; perturbed control residual {control.max_residual:.1e})",
            worst, 1e-10, ok)
 
 
-def test_criterion_10_engine_cross_validation(random_families):
+def test_criterion_10_engine_cross_validation(random_patches):
     worst_fd = 0.0
-    for family in random_families:
-        base = family.patch()
+    for base in random_patches:
         patch = SurfacePatch(immersion=base.immersion, domain=base.domain)
         u = 0.5 * (patch.domain.u.lo + patch.domain.u.hi)
         v = 0.45 * (patch.domain.v.lo + patch.domain.v.hi)
@@ -262,14 +261,13 @@ def test_criterion_10_engine_cross_validation(random_families):
             worst_fd = max(worst_fd, abs(a - b) / max(abs(a), 1.0))
 
     worst_flip = 0.0
-    family = random_families[0]
-    patch = family.patch()
+    patch = random_patches[0]
     u = 0.6 * (patch.domain.u.lo + patch.domain.u.hi)
     v = 0.3 * (patch.domain.v.lo + patch.domain.v.hi)
     base = point_data(patch, u, v)
     for f1, f2 in ((-1, 1), (1, -1), (-1, -1)):
-        flip = point_data(patch, u, v, frame=(base.n1.scale(f1),
-                                              base.n2.scale(f2)))
+        flipped = (base.n1.scale(f1), base.n2.scale(f2))
+        flip = point_data(replace(patch, frame=lambda u, v: flipped), u, v)
         worst_flip = max(
             worst_flip,
             abs(base.k - flip.k), abs(base.K - flip.K),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,17 @@ class TestRejectedInputs:
         self.assert_rejected(capsys, code, wanted)
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_metric_is_not_spacelike(self, tmp_path, capsys):
+        # -2 f'g' = inf passes the admissibility samples; E is inf - inf.
+        out = tmp_path / "z.csv"
+        code = run_cli(["invariants", "--f-expr", "1e200*u",
+                        "--g-expr=-1e200*u", "--phi-expr", "1",
+                        "--u", "0.5:2:3", "--v", "0:1:3", "--csv", str(out)])
+        self.assert_rejected(
+            capsys, code,
+            "not spacelike at (u,v)=(0.5,0.0): E=nan, EG-F^2=nan")
+        assert list(tmp_path.iterdir()) == []
+
     def test_v_range_must_stay_on_the_section_arc(self, tmp_path, capsys):
         # C > 0: the section profile lives on one arc around v = 0.
         argv = ["family", "--type", "parabolic-mt",
@@ -406,11 +418,9 @@ class TestRejectedInputs:
 def fresh_per_point(build) -> SurfacePatch:
     """A patch that builds a new patch, with empty profile memos, for
     every immersion and frame evaluation."""
-    first = build()
-    return SurfacePatch(
-        immersion=lambda ju, jv: build().immersion(ju, jv),
-        domain=first.domain, kind=first.kind,
-        frame=lambda u, v: build().frame(u, v))
+    return replace(build(),
+                   immersion=lambda ju, jv: build().immersion(ju, jv),
+                   frame=lambda u, v: build().frame(u, v))
 
 
 class TestPerLineMemoOutput:
@@ -498,7 +508,7 @@ class TestAtomicOutput:
                 raise ExprError("fails mid-grid", 0)
             return base.immersion(ju, jv)
 
-        patch = SurfacePatch(failing, base.domain, kind="parabolic")
+        patch = SurfacePatch(failing, base.domain)
         grid = GridSpec(3, 3, Interval(0.6, 1.9), Interval(0.1, 6.0))
         out = tmp_path / "m.out"
         out.write_bytes(b"earlier output\n")

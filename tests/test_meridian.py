@@ -24,7 +24,7 @@ from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                                plane_section_curvature, plane_section_phi,
                                profile_u, profile_v)
 
-from helpers import random_parabolic_family
+from helpers import random_parabolic_patch
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,14 +62,14 @@ class TestBuildParabolic:
     def test_first_form_closed_expressions(self):
         rng = random.Random(3)
         for _ in range(4):
-            family = random_parabolic_family(rng)
-            patch = family.patch()
+            patch = random_parabolic_patch(rng)
+            fp, phi = patch.profiles
             for u in patch.domain.u.linspace(6, inset=0.02):
                 for v in patch.domain.v.linspace(6, inset=0.02):
                     p = point_data(patch, u, v)
-                    fj = profile_u(family.fp.f, u)
-                    gj = profile_u(family.fp.g, u)
-                    pj = profile_v(family.phi.phi, v)
+                    fj = profile_u(fp.f, u)
+                    gj = profile_u(fp.g, u)
+                    pj = profile_v(phi.phi, v)
                     e_cf = -2.0 * fj.du * gj.du
                     g_cf = fj.val ** 2 * (pj.dv ** 2 + pj.val ** 2)
                     assert abs(p.E - e_cf) <= 1e-12 * max(1.0, abs(e_cf))
@@ -427,18 +427,17 @@ class TestClosedFormsAgainstEngine:
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_full_agreement(self, seed):
         rng = random.Random(seed)
-        family = random_parabolic_family(rng)
-        patch = family.patch()
+        patch = random_parabolic_patch(rng)
         for u in patch.domain.u.linspace(7, inset=0.03):
             for v in patch.domain.v.linspace(7, inset=0.03):
                 p = point_data(patch, u, v)
-                cf = parabolic_closed_forms(family.fp, family.phi, u, v)
+                cf = parabolic_closed_forms(*patch.profiles, u, v)
                 for name in ("E", "F", "G", "L", "M", "N", "k",
                              "kappa_normal", "K", "H1", "H2"):
                     a = getattr(p, name)
                     b = getattr(cf, name)
                     assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (
-                        name, u, v, a, b, family.label)
+                        name, u, v, a, b, seed)
 
     def test_decreasing_f_profile(self):
         fp = ProfilePair(f=lambda j: 2.0 - j, g=lambda j: j * j,
@@ -476,12 +475,11 @@ class TestProfileLineMemo:
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_shuffled_grid_matches_fresh_patches(self, seed):
-        family = random_parabolic_family(random.Random(seed))
-        patch = family.patch()
+        patch = random_parabolic_patch(random.Random(seed))
         points = list(GridSpec.for_patch(patch, 6, 5).points())
         random.Random(seed).shuffle(points)
         for u, v in points + points[:3]:
-            fresh = point_data(family.patch(), u, v)
+            fresh = point_data(build_parabolic(*patch.profiles), u, v)
             assert _bits(point_data(patch, u, v)) == _bits(fresh), (u, v)
 
     def test_reparametrised_jet_is_not_served_a_seed_entry(self):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from minksurf.errors import (AdmissibilityError, DegenerateFrame, DomainError,
                              NotSpacelike)
 from minksurf.expr import compile_profile
 from minksurf.jets import Jet2, Jet2Vec4
-from minksurf.minkowski import (E1, E2, E3, E4, CausalCharacter,
+from minksurf.minkowski import (E1, E2, E3, E4, ZERO, CausalCharacter,
                                 NullFrameCoords, Vec4M, causal_character,
                                 inner, to_null_frame)
 from minksurf.surface import (Interval, PointData, Rect, SurfacePatch,
@@ -24,7 +25,7 @@ from minksurf.meridian import (ProfileCurvePhi, ProfilePair, build_parabolic,
 from minksurf.verify import GridSpec
 
 from fd_oracle import fd_point_data
-from helpers import random_parabolic_family
+from helpers import random_parabolic_patch
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -290,8 +291,8 @@ class TestFrameIndependence:
                               domain=Interval(0.0, 6.2))
         patch = build_parabolic(fp, phi)
         base = point_data(patch, 1.2, 0.8)
-        flipped = point_data(patch, 1.2, 0.8,
-                             frame=(base.n1.scale(flip1), base.n2.scale(flip2)))
+        pair = (base.n1.scale(flip1), base.n2.scale(flip2))
+        flipped = point_data(replace(patch, frame=lambda u, v: pair), 1.2, 0.8)
         odd = flip1 * flip2 < 0
         assert abs(base.k - flipped.k) <= 1e-12
         assert abs(base.K - flipped.K) <= 1e-12
@@ -309,12 +310,13 @@ class TestFrameIndependence:
 
     def test_invalid_frame_rejected(self, flat_patch):
         with pytest.raises(DegenerateFrame):
-            point_data(flat_patch, 1.0, 0.0, frame=(E1, E4))
+            point_data(replace(flat_patch, frame=lambda u, v: (E1, E4)),
+                       1.0, 0.0)
         j = jet_eval_surface(flat_patch, 1.0, 0.0)
         with pytest.raises(DegenerateFrame):
             point_data_from_derivatives(1.0, 0.0, j.value(), j.d_u(), j.d_v(),
                                         j.d_uu(), j.d_uv(), j.d_vv(),
-                                        frame=(E1, E4))
+                                        frame=lambda u, v: (E1, E4))
 
 
 class TestReparametrization:
@@ -346,8 +348,7 @@ class TestHalfTraceProperty:
     def test_h_is_half_trace_of_sigma(self):
         rng = random.Random(11)
         for _ in range(5):
-            family = random_parabolic_family(rng)
-            patch = family.patch()
+            patch = random_parabolic_patch(rng)
             u = 0.5 * (patch.domain.u.lo + patch.domain.u.hi)
             v = 0.4 * (patch.domain.v.lo + patch.domain.v.hi)
             p = point_data(patch, u, v)
@@ -371,8 +372,7 @@ class TestHalfTraceProperty:
     def test_sigma_xy_vanishes_for_parabolic(self):
         rng = random.Random(13)
         for _ in range(5):
-            family = random_parabolic_family(rng)
-            patch = family.patch()
+            patch = random_parabolic_patch(rng)
             for u in patch.domain.u.linspace(5, inset=0.05):
                 for v in patch.domain.v.linspace(5, inset=0.05):
                     p = point_data(patch, u, v)
@@ -390,11 +390,10 @@ class TestFiniteDifferenceOracle:
     def test_agrees_with_jets(self, pure):
         rng = random.Random(5)
         for _ in range(3):
-            family = random_parabolic_family(rng)
-            patch = family.patch()
+            patch = random_parabolic_patch(rng)
             u = 0.5 * (patch.domain.u.lo + patch.domain.u.hi)
             v = 0.45 * (patch.domain.v.lo + patch.domain.v.hi)
-            jet_p = point_data(patch, u, v, frame=None)
+            jet_p = point_data(patch, u, v)
             # The oracle has no family frame: compare frame-free data and
             # frame data computed by the same canonical construction.
             base = SurfacePatch(immersion=patch.immersion, domain=patch.domain)
@@ -466,6 +465,37 @@ class TestErrorsCarryTheirPoint:
         assert str(err.value) == (
             "tangent plane not spacelike: E=1.0, EG-F^2=-3.0")
 
+    @pytest.mark.parametrize("z_u,z_v,want", [
+        # E = inf - inf and EG - F^2 with it are NaN.
+        (Vec4M(1e200, 0.0, 0.0, 1e200), E2, "E=nan, EG-F^2=nan"),
+        (E1.scale(1e200), E2, "E=inf, EG-F^2=inf"),
+        # A finite E = 1e308 whose EG - F^2 overflows.
+        (E1.scale(1e154), E2.scale(1e154), "E=1e+308, EG-F^2=inf"),
+    ], ids=["nan", "inf", "det-inf"])
+    def test_non_finite_metric_is_not_spacelike(self, z_u, z_v, want):
+        # Each overflowing plane is the second of three points of an
+        # array call, between two spacelike planes.  numpy warns of the
+        # overflow on the array path before the guard raises.
+        us = np.array([0.1, 0.5, 0.9])
+        zs_u, zs_v = _stack(E1, z_u, E1), _stack(E2, z_v, E2)
+        calls = [
+            (lambda: normal_frame(z_u, z_v),
+             lambda: normal_frame(zs_u, zs_v),
+             "tangent plane not spacelike: "),
+            (lambda: point_data_from_derivatives(
+                0.5, 0.0, ZERO, z_u, z_v, ZERO, ZERO, ZERO),
+             lambda: point_data_from_derivatives(
+                 us, 0.0 * us, ZERO, zs_u, zs_v, ZERO, ZERO, ZERO),
+             "not spacelike at (u,v)=(0.5,0.0): "),
+        ]
+        for one_call, array_call, head in calls:
+            with pytest.raises(NotSpacelike) as one:
+                one_call()
+            with pytest.warns(RuntimeWarning), \
+                    pytest.raises(NotSpacelike) as many:
+                array_call()
+            assert str(one.value) == str(many.value) == head + want
+
     def test_no_timelike_normal_quantity(self, monkeypatch):
         # <nu, nu> <= -1 for every spacelike plane, so only a tolerance
         # above 1 reaches this check.
@@ -505,13 +535,14 @@ class TestErrorsCarryTheirPoint:
         # The canonical frame at v = 0.5 is valid there and not at v = 1.5.
         j = jet_eval_surface(flat_patch, 1.0, 0.5)
         frame = normal_frame(j.d_u(), j.d_v())
+        fixed = replace(flat_patch, frame=lambda u, v: frame)
         us = np.full(3, 1.0)
         vs = np.array([0.5, 1.5, 2.5])
-        point_data(flat_patch, 1.0, 0.5, frame=frame)
+        point_data(fixed, 1.0, 0.5)
         with pytest.raises(DegenerateFrame) as one:
-            point_data(flat_patch, 1.0, 1.5, frame=frame)
+            point_data(fixed, 1.0, 1.5)
         with pytest.raises(DegenerateFrame) as many:
-            point_data(flat_patch, us, vs, frame=frame)
+            point_data(fixed, us, vs)
         assert one.value.quantity > surface.FRAME_TOL
         assert many.value.quantity == one.value.quantity
         assert str(many.value) == str(one.value) == (
@@ -714,7 +745,7 @@ class TestLorentzInvariance:
         assert np.allclose(motion.T @ eta @ motion, eta, atol=1e-12)
         assert motion[3, 3] > 0.0 and np.linalg.det(motion) > 0.0
 
-        patch = random_parabolic_family(random.Random(seed)).patch()
+        patch = random_parabolic_patch(random.Random(seed))
         u = patch.domain.u.lo + s * patch.domain.u.width
         v = patch.domain.v.lo + t * patch.domain.v.width
         p = point_data(patch, u, v)
@@ -741,7 +772,7 @@ class TestReparametrisationInvariance:
            s=st.floats(0.05, 0.95), t=st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
     def test_invariants_at_corresponding_points(self, seed, a, b, s, t):
-        patch = random_parabolic_family(random.Random(seed)).patch()
+        patch = random_parabolic_patch(random.Random(seed))
         du, dv = patch.domain.u, patch.domain.v
 
         # Increasing maps of [0, 1] onto the domain:

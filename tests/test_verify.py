@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from minksurf import jets
 from minksurf.errors import ParamError, UsageError
 from minksurf.jets import Jet2, Jet2Vec4
 from minksurf.surface import Interval, Rect, SurfacePatch
-from minksurf.meridian import (MTFamilyParams, ParabolicFamily,
-                               ProfileCurvePhi, ProfilePair, RootBranch,
-                               SignBranch, build_parabolic, kappa_bar,
-                               mt_cone_patch, mt_general_profile,
+from minksurf.meridian import (MTFamilyParams, ProfileCurvePhi, ProfilePair,
+                               RootBranch, SignBranch, build_parabolic,
+                               kappa_bar, mt_cone_patch, mt_general_profile,
                                plane_section_phi)
 from minksurf import verify
 from minksurf.verify import (GridSpec, VerificationReport, claim_suite,
@@ -24,7 +24,7 @@ from minksurf.verify import (GridSpec, VerificationReport, claim_suite,
                              verify_meridian_planarity, verify_ode_chain,
                              verify_second_fundamental_form)
 
-from helpers import random_parabolic_family
+from helpers import random_parabolic_patch
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,17 +34,17 @@ def unit_phi() -> ProfileCurvePhi:
                            domain=Interval(0.0, TWO_PI))
 
 
-def cubic_family() -> ParabolicFamily:
+def cubic_patch() -> SurfacePatch:
     fp = ProfilePair(f=lambda j: j, g=lambda j: -(j ** 3) / 3.0,
                      domain=Interval(0.5, 2.0))
     phi = ProfileCurvePhi(phi=lambda j: 2.0 + jets.sin(j),
                           domain=Interval(0.0, TWO_PI))
-    return ParabolicFamily(fp, phi, "cubic test family")
+    return build_parabolic(fp, phi)
 
 
 class TestFlatNormalConnection:
     def test_passes_on_generic_family(self):
-        patch = cubic_family().patch()
+        patch = cubic_patch()
         grid = GridSpec.for_patch(patch, 50, 50)
         report = verify_flat_normal_connection(patch, grid)
         assert report.passed
@@ -64,27 +64,33 @@ class TestFlatNormalConnection:
         patch = SurfacePatch(immersion=plane,
                              domain=Rect(Interval(-0.3, 0.3),
                                          Interval(-0.5, 0.5)))
-        assert patch.kind == "generic"
-        with pytest.raises(UsageError):
-            verify_flat_normal_connection(
-                patch, GridSpec.for_patch(patch, 5, 5))
+        assert patch.profiles is None
+        grid = GridSpec.for_patch(patch, 5, 5)
+        for check in (verify_flat_normal_connection,
+                      verify_second_fundamental_form,
+                      verify_closed_form_invariants, verify_case1_hyperplane,
+                      verify_cone_lightlike_hyperplane):
+            with pytest.raises(UsageError, match="got a generic patch"):
+                check(patch, grid)
+        with pytest.raises(UsageError, match="got a generic patch"):
+            verify_meridian_planarity(patch, 0.0)
 
 
 class TestSecondFundamentalForm:
     def test_passes(self):
-        family = cubic_family()
-        grid = GridSpec.for_patch(family.patch(), 30, 30)
-        assert verify_second_fundamental_form(family, grid).passed
+        patch = cubic_patch()
+        grid = GridSpec.for_patch(patch, 30, 30)
+        assert verify_second_fundamental_form(patch, grid).passed
 
 
 class TestClosedFormInvariants:
     def test_passes_on_random_families(self):
         rng = random.Random(41)
         for _ in range(3):
-            family = random_parabolic_family(rng)
-            grid = GridSpec.for_patch(family.patch(), 15, 15)
-            report = verify_closed_form_invariants(family, grid)
-            assert report.passed, (family.label, report)
+            patch = random_parabolic_patch(rng)
+            grid = GridSpec.for_patch(patch, 15, 15)
+            report = verify_closed_form_invariants(patch, grid)
+            assert report.passed, report
 
     def test_cone_gauss_curvature_vanishes(self):
         # kappa_m = 0 makes K identically zero on the cone family.
@@ -204,27 +210,28 @@ class TestCase1Hyperplane:
         return ProfileCurvePhi(phi=lambda j: jets.reciprocal(jets.cos(j)),
                                domain=Interval(-1.2, 1.2))
 
-    def test_passes(self):
+    def secant_patch(self) -> SurfacePatch:
         fp = ProfilePair(f=lambda j: j, g=lambda j: -(j ** 3) / 3.0,
                          domain=Interval(0.5, 2.0))
+        return build_parabolic(fp, self.secant_phi())
+
+    def test_passes(self):
         grid = GridSpec(40, 40, Interval(0.55, 1.95), Interval(-1.15, 1.15))
-        report = verify_case1_hyperplane(self.secant_phi(), fp, grid,
-                                         tol=1e-10)
+        report = verify_case1_hyperplane(self.secant_patch(), grid, tol=1e-10)
         assert report.passed
         assert report.details["trapped_points"] == 0.0
 
     def test_trapped_points_fail_with_the_measured_residual(self,
                                                            monkeypatch):
-        fp = ProfilePair(f=lambda j: j, g=lambda j: -(j ** 3) / 3.0,
-                         domain=Interval(0.5, 2.0))
+        patch = self.secant_patch()
         grid = GridSpec(6, 5, Interval(0.55, 1.95), Interval(-1.15, 1.15))
-        clean = verify_case1_hyperplane(self.secant_phi(), fp, grid)
+        clean = verify_case1_hyperplane(patch, grid)
         assert clean.passed and not clean.failure
         assert "failure" not in clean.text_block()
         # Report every other point as marginally trapped.
         monkeypatch.setattr(verify, "is_marginally_trapped",
                             lambda p: np.arange(p.u.size) % 2 == 0)
-        report = verify_case1_hyperplane(self.secant_phi(), fp, grid)
+        report = verify_case1_hyperplane(patch, grid)
         assert not report.passed
         assert report.failure == "15 marginally trapped points"
         assert report.details["trapped_points"] == 15.0
@@ -238,11 +245,8 @@ class TestCase1Hyperplane:
         fp = ProfilePair(f=lambda j: j, g=lambda j: -j,
                          domain=Interval(0.5, 2.0))
         grid = GridSpec(5, 5, Interval(0.6, 1.9), Interval(0.1, 6.0))
-        with pytest.raises(UsageError):
-            verify_case1_hyperplane(
-                ProfileCurvePhi(phi=lambda j: Jet2.constant(1.0),
-                                domain=Interval(0.0, TWO_PI)),
-                fp, grid)
+        with pytest.raises(UsageError, match="curvature is not zero"):
+            verify_case1_hyperplane(build_parabolic(fp, unit_phi()), grid)
 
 
 class TestMeridianPlanarity:
@@ -258,23 +262,14 @@ class TestMeridianPlanarity:
         ]
         for patch in families:
             for v0 in (0.3, 1.7, 4.0):
-                report = verify_meridian_planarity(patch, phi, v0,
-                                                   tol=1e-10)
-                assert report.passed, (patch.label, v0, report)
+                report = verify_meridian_planarity(patch, v0, tol=1e-10)
+                assert report.passed, (v0, report)
 
     def test_perturbed_immersion_fails(self):
         fp = ProfilePair(f=lambda j: j, g=lambda j: -j,
                          domain=Interval(0.5, 2.5))
-        phi = unit_phi()
-        base = build_parabolic(fp, phi)
-
-        def bent(ju: Jet2, jv: Jet2) -> Jet2Vec4:
-            z = base.immersion(ju, jv)
-            return Jet2Vec4(z.x1, z.x2, z.x3 + 1e-3 * jets.sin(ju), z.x4)
-
-        patch = SurfacePatch(immersion=bent, domain=base.domain,
-                             kind="parabolic")
-        report = verify_meridian_planarity(patch, phi, 0.0, tol=1e-10)
+        patch = _bent_copy(build_parabolic(fp, unit_phi()))
+        report = verify_meridian_planarity(patch, 0.0, tol=1e-10)
         assert not report.passed
         assert report.max_residual >= 1e3 * report.threshold
 
@@ -291,40 +286,33 @@ class TestConeLightlikeHyperplane:
 
 
 def _bent_copy(patch: SurfacePatch) -> SurfacePatch:
-    """A parabolic-labelled patch with a small non-meridian bend."""
+    """The patch, with its profiles, bent off the meridian surface by a
+    small term; the canonical frame, since the adapted one no longer fits."""
 
     def bent(ju: Jet2, jv: Jet2) -> Jet2Vec4:
         z = patch.immersion(ju, jv)
         return Jet2Vec4(z.x1, z.x2, z.x3 + 1e-3 * jets.sin(ju), z.x4)
 
-    return SurfacePatch(immersion=bent, domain=patch.domain,
-                        kind="parabolic")
+    return replace(patch, immersion=bent, frame=None)
 
 
 class TestNegativeControls:
     """Each verifier fails loudly on an input engineered to violate it."""
 
     def test_flat_normal_connection_detects_bend(self):
-        patch = _bent_copy(cubic_family().patch())
+        patch = _bent_copy(cubic_patch())
         report = verify_flat_normal_connection(
             patch, GridSpec.for_patch(patch, 15, 15), tol=1e-10)
         assert not report.passed
         assert report.max_residual >= 1e3 * report.threshold
 
     def test_closed_forms_detect_bend(self):
-        family = cubic_family()
-        bent = _bent_copy(family.patch())
-
-        class BentFamily(ParabolicFamily):
-            def patch(self):
-                return bent
-
-        fake = BentFamily(family.fp, family.phi, "bent control")
+        bent = _bent_copy(cubic_patch())
         grid = GridSpec.for_patch(bent, 12, 12)
-        report = verify_closed_form_invariants(fake, grid, tol=1e-9)
+        report = verify_closed_form_invariants(bent, grid, tol=1e-9)
         assert not report.passed
         assert report.max_residual >= 1e3 * report.threshold
-        second = verify_second_fundamental_form(fake, grid, tol=1e-10)
+        second = verify_second_fundamental_form(bent, grid, tol=1e-10)
         assert not second.passed
         assert second.max_residual >= 1e3 * second.threshold
 
@@ -344,14 +332,16 @@ class TestNegativeControls:
         wrong = -report.details["expected"]
         assert abs(report.details["mean"] - wrong) >= 1e3 * report.threshold
 
-    def test_case1_detects_curved_profile_when_guard_loosened(self):
+    def test_case1_detects_curved_profile_when_guard_loosened(
+            self, monkeypatch):
         phi = ProfileCurvePhi(phi=lambda j: -2.0 * jets.cos(j),
                               domain=Interval(1.7, 4.5))
         fp = ProfilePair(f=lambda j: j, g=lambda j: -j,
                          domain=Interval(0.5, 2.0))
         grid = GridSpec(10, 10, Interval(0.55, 1.95), Interval(1.75, 4.45))
-        report = verify_case1_hyperplane(phi, fp, grid, tol=1e-10,
-                                         kappa_tol=10.0)
+        monkeypatch.setattr(verify, "CASE1_KAPPA_TOL", 10.0)
+        report = verify_case1_hyperplane(build_parabolic(fp, phi), grid,
+                                         tol=1e-10)
         assert not report.passed
         assert report.max_residual >= 1e3 * report.threshold
 
@@ -401,10 +391,10 @@ class TestGridReduction:
 
 class TestDeterminismAndSuite:
     def test_reports_are_bit_identical(self):
-        family = cubic_family()
-        grid = GridSpec.for_patch(family.patch(), 12, 12)
-        r1 = verify_closed_form_invariants(family, grid)
-        r2 = verify_closed_form_invariants(family, grid)
+        patch = cubic_patch()
+        grid = GridSpec.for_patch(patch, 12, 12)
+        r1 = verify_closed_form_invariants(patch, grid)
+        r2 = verify_closed_form_invariants(patch, grid)
         assert r1.max_residual == r2.max_residual
         assert r1.worst_point == r2.worst_point
 
