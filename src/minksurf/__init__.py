@@ -16,7 +16,7 @@ from .minkowski import (E1, E2, E3, E4, XI1, XI2, CausalCharacter,
                         NullFrameCoords, Vec4M, causal_character,
                         from_null_frame, inner, to_null_frame)
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
-from .surface import (Interval, PointData, Rect, SurfacePatch,
+from .surface import (GridSpec, Interval, PointData, Rect, SurfacePatch,
                       is_marginally_trapped, jet_eval_surface, normal_frame,
                       point_data, point_data_from_derivatives)
 from .meridian import (ClosedForms, MTFamilyParams, PlaneSection,
@@ -27,7 +27,7 @@ from .meridian import (ClosedForms, MTFamilyParams, PlaneSection,
                        parabolic_normal_frame, paraboloid_point,
                        plane_section_curvature, plane_section_phi,
                        profile_u, profile_v)
-from .verify import (GridSpec, VerificationReport, claim_suite,
+from .verify import (VerificationReport, claim_suite,
                      render_reports, verify_case1_hyperplane,
                      verify_closed_form_invariants,
                      verify_cone_lightlike_hyperplane,

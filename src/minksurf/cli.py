@@ -28,8 +28,8 @@ from .meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                        ProfilePair, RootBranch, SignBranch, build_parabolic,
                        kappa_bar_of_jet, mt_cone_patch, mt_general_profile,
                        plane_section_curvature, plane_section_phi, profile_v)
-from .surface import Interval
-from .verify import GridSpec, claim_suite, render_reports
+from .surface import GridSpec, Interval
+from .verify import claim_suite, render_reports
 from . import exporters
 
 

@@ -5,28 +5,36 @@ binary64 exactly; identical inputs therefore produce byte-identical files.
 Every file is written atomically: a run that fails leaves no partial file
 and does not touch a file already at the target path.
 
-The exporters evaluate one point at a time, so memory does not grow with
-the number of points.  It grows only with the profile memos of a
-parabolic patch (see :func:`~minksurf.meridian.build_parabolic`): one
-entry per distinct u and per distinct v, nu + nv on an nu x nv grid.
+The exporters evaluate the grid in blocks of whole u lines, about
+:data:`BLOCK_POINTS` points each, with one array call of the surface
+engine per block, and write each block with one ``%`` of a repeated row
+format.  The bytes are those of one float call per point, and an error
+names the first failing point in row-major order, as one call per point
+would: a block that fails is evaluated again point by point.  Memory
+grows with the block, not with the grid, apart from the profile memos
+of a parabolic patch (see :func:`~minksurf.meridian.build_parabolic`),
+which hold one entry per block of u lines and one for the v row.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from contextlib import contextmanager
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularProjection
-from .surface import SurfacePatch, jet_eval_surface, point_data
-from .verify import GridSpec
+from .errors import Error, SingularProjection
+from .minkowski import first_failure
+from .surface import GridSpec, SurfacePatch, jet_eval_surface, point_data
 
 CSV_HEADER = "u,v,x1,x2,x3,x4,E,F,G,L,M,N,k,kappa,K,H1,H2,H3,H4,HdotH"
 
 POSITIONS_HEADER = "u,v,x1,x2,x3,x4"
+
+# Points per evaluated block: k = max(1, BLOCK_POINTS // nv) whole u lines.
+BLOCK_POINTS = 1000
 
 DEFAULT_PROJECTION: tuple[tuple[float, ...], ...] = (
     (1.0, 0.0, 0.0, 0.0),
@@ -69,6 +77,59 @@ def atomic_writer(path: str):
         raise
 
 
+def _table(columns) -> np.ndarray:
+    """Columns of floats or broadcastable arrays as a 2-D table, one row
+    per point in row-major order."""
+    cols = np.broadcast_arrays(*columns)
+    return np.stack(cols, axis=-1).reshape(-1, len(cols))
+
+
+def _blocks(grid: GridSpec, evaluate):
+    """``evaluate(U, V)`` per block of whole u lines, in grid order.
+
+    U is a (k, 1) column of u samples and V the (1, nv) row of v samples,
+    so broadcasting yields the block's points in the row-major order of
+    :meth:`GridSpec.points`.  A block that raises an :class:`Error` is
+    evaluated again one float point at a time, so the error raised is the
+    one of the first failing point.
+    """
+    us = grid.u_range.linspace(grid.u_samples)
+    vs = grid.v_range.linspace(grid.v_samples)
+    row = np.array(vs)[None, :]
+    k = max(1, BLOCK_POINTS // len(vs))
+    for i in range(0, len(us), k):
+        lines = us[i:i + k]
+        try:
+            block = evaluate(np.array(lines)[:, None], row)
+        except Error:
+            for u in lines:
+                for v in vs:
+                    evaluate(u, v)
+            raise
+        yield block
+
+
+def _write_tables(fh, line: str, tables) -> int:
+    """Write each table with one ``%`` of ``line`` repeated once per row;
+    returns the number of rows."""
+    rows = 0
+    for table in tables:
+        fh.write(line * len(table) % tuple(table.ravel().tolist()))
+        rows += len(table)
+    return rows
+
+
+def _write_csv(path: str, header: str, tables) -> int:
+    with atomic_writer(path) as fh:
+        fh.write(header + "\n")
+        return _write_tables(fh, row_format(header.count(",") + 1), tables)
+
+
+def _positions(patch: SurfacePatch, u, v) -> np.ndarray:
+    """The (u, v, x1..x4) table of a point or a block of points."""
+    return _table((u, v, *jet_eval_surface(patch, u, v).value().coords()))
+
+
 def export_grid_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
     """Write the full invariant table, one row per grid point.
 
@@ -76,30 +137,19 @@ def export_grid_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
     orthonormal coordinates of the mean curvature vector; HdotH is its
     self inner product.  Returns the number of data rows.
     """
-    line = row_format(CSV_HEADER.count(",") + 1)
-    rows = 0
-    with atomic_writer(path) as fh:
-        fh.write(CSV_HEADER + "\n")
-        for u, v in grid.points():
-            p = point_data(patch, u, v)
-            fh.write(line % (u, v, *p.z.coords(), p.E, p.F, p.G, p.L, p.M,
-                             p.N, p.k, p.kappa_normal, p.K, *p.H.coords(),
-                             p.h_dot_h()))
-            rows += 1
-    return rows
+    def evaluate(u, v):
+        p = point_data(patch, u, v)
+        return _table((u, v, *p.z.coords(), p.E, p.F, p.G, p.L, p.M, p.N,
+                       p.k, p.kappa_normal, p.K, *p.H.coords(),
+                       p.h_dot_h()))
+
+    return _write_csv(path, CSV_HEADER, _blocks(grid, evaluate))
 
 
 def export_positions_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
     """Write sampled positions only (u, v, x1..x4); returns the row count."""
-    line = row_format(POSITIONS_HEADER.count(",") + 1)
-    rows = 0
-    with atomic_writer(path) as fh:
-        fh.write(POSITIONS_HEADER + "\n")
-        for u, v in grid.points():
-            z = jet_eval_surface(patch, u, v).value()
-            fh.write(line % (u, v, *z.coords()))
-            rows += 1
-    return rows
+    return _write_csv(path, POSITIONS_HEADER,
+                      _blocks(grid, partial(_positions, patch)))
 
 
 def export_obj(patch: SurfacePatch, grid: GridSpec,
@@ -118,24 +168,29 @@ def export_obj(patch: SurfacePatch, grid: GridSpec,
         raise SingularProjection(
             f"projection matrix has rank < 3 (singular values {sv})")
 
+    def evaluate(u, v):
+        table = _positions(patch, u, v)
+        # One 3x4 by 4x1 product per vertex, stacked: the bits of
+        # ``proj @ z`` for each vertex z.
+        xyz = (proj @ table[:, 2:, None])[:, :, 0]
+        bad = first_failure(~np.isfinite(xyz).all(axis=1),
+                            table[:, 0], table[:, 1])
+        if bad:
+            raise SingularProjection(
+                "non-finite projected vertex at (u,v)=({},{})".format(*bad))
+        return xyz
+
     nu, nv = grid.u_samples, grid.v_samples
     vertex = "v " + row_format(3, " ")
+    # The cell between u lines i, i + 1 and v samples j, j + 1 has the
+    # 1-based corners a = i*nv + j + 1, b = a + 1, c = a + nv, d = c + 1
+    # and becomes the triangles (a, b, d) and (a, d, c).
+    a = np.arange(1, nv)
+    first_line = np.stack([a, a + 1, a + nv + 1, a, a + nv + 1, a + nv],
+                          axis=1).ravel()
+    faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
     with atomic_writer(path) as fh:
-        for u, v in grid.points():
-            z = np.array(jet_eval_surface(patch, u, v).value().coords())
-            x, y, w = proj @ z
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w)):
-                raise SingularProjection(
-                    f"non-finite projected vertex at (u,v)=({u},{v})")
-            fh.write(vertex % (x, y, w))
-        faces = 0
+        _write_tables(fh, vertex, _blocks(grid, evaluate))
         for i in range(nu - 1):
-            for j in range(nv - 1):
-                a = i * nv + j + 1
-                b = a + 1
-                c = a + nv
-                d = c + 1
-                fh.write(f"f {a} {b} {d}\n")
-                fh.write(f"f {a} {d} {c}\n")
-                faces += 2
-    return nu * nv, faces
+            fh.write(faces % tuple((first_line + i * nv).tolist()))
+    return nu * nv, 2 * (nu - 1) * (nv - 1)

@@ -10,10 +10,11 @@ variable's slots stay identically zero.
 Mixed partials occupy a single ``duv`` slot; symmetry of second derivatives
 is built into the representation rather than checked after the fact.
 
-Slots hold Python floats (one point) or equal-length float64 arrays (many
-points); the same code serves both, with ``math`` or ``numpy`` looked up
-by :func:`~minksurf.minkowski.elementary`.  A domain guard fails if any
-element fails and names the first failing value.
+Slots hold Python floats (one point) or float64 arrays that broadcast
+together (many points); the same code serves both, with ``math`` or
+``numpy`` looked up by :func:`~minksurf.minkowski.elementary`, and an
+array slot holds the bits the one-point jets would.  A domain guard fails
+if any element fails and names the first failing value.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ def ln(x: Jet2) -> Jet2:
 
 def _in_float_range(func: str, x: Jet2, requirement: str, compute) -> tuple:
     """``compute()``, or DomainError at the first finite argument with an
-    infinite result: math and float ``**`` raise, ``*`` and numpy give inf."""
+    infinite result: math and float ``**`` raise on one point and give inf
+    on arrays, and ``*`` gives inf on both."""
     if isinstance(x.val, np.ndarray):
         with np.errstate(over="ignore"):
             results = compute()
@@ -184,11 +186,12 @@ def reciprocal(x: Jet2) -> Jet2:
 def powr(x: Jet2, p: float) -> Jet2:
     """x**p for a real exponent; requires x > 0."""
     _require("pow-by-real", x.val <= 0.0, x, "argument > 0")
+    pw = elementary(x.val).pow
     f0, f1, f2 = _in_float_range(
         "pow-by-real", x,
         f"x**{p!r} and its derivatives within float range",
-        lambda: (x.val ** p, p * x.val ** (p - 1.0),
-                 p * (p - 1.0) * x.val ** (p - 2.0)))
+        lambda: (pw(x.val, p), p * pw(x.val, p - 1.0),
+                 p * (p - 1.0) * pw(x.val, p - 2.0)))
     return _chain(x, f0, f1, f2)
 
 

@@ -19,7 +19,7 @@ constant-curvature plane sections.
 Profile functions are callables on :class:`~minksurf.jets.Jet2` values, so
 every geometric quantity below is differentiated exactly.  The adapted
 frame, kappa_m, kappa_bar and the closed forms take u and v as floats or
-as equal-length arrays, like the surface engine.
+as arrays that broadcast together, like the surface engine.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
+
+import numpy as np
 
 from . import jets
 from .errors import AdmissibilityError, CurvatureMismatch, ParamError
@@ -81,8 +83,9 @@ def profile_v(fn: ProfileFn, v: float) -> Jet2:
 # ---------------------------------------------------------------------------
 
 def _positive(inequality: str, x, variable: str, at):
-    """x, checked > 0 (NaN fails); an error names the first failing ``at``."""
-    bad = first_failure((x <= 0.0) | (x != x), at)
+    """x, checked finite and > 0 (NaN and inf fail, so an overflow is named
+    by its inequality); an error names the first failing ``at``."""
+    bad = first_failure((x <= 0.0) | (x != x) | (x == math.inf), at)
     if bad:
         raise AdmissibilityError(inequality, variable, *bad)
     return x
@@ -129,29 +132,48 @@ def _kappa_bar(pj: Jet2, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 _SLOTS = struct.Struct("6d")
+_FLOAT = struct.Struct("d")
 _CHECK_SAMPLES = 41
 
 
-def _line_key(j: Jet2) -> Optional[bytes]:
-    """The bits of a one-point jet's six slots, or None for any other jet.
+def _slot_key(s) -> Optional[Hashable]:
+    if type(s) is float:
+        return _FLOAT.pack(s)
+    if type(s) is np.ndarray and s.dtype == np.float64:
+        return s.shape, s.tobytes()
+    return None
 
-    Bits rather than values, so +0.0 and -0.0 stay apart; only exact
-    floats, because an int or a numpy scalar with the same value can
-    round differently inside a profile.
+
+def _line_key(j: Jet2) -> Optional[Hashable]:
+    """The exact bits of a jet's six slots, with the shape of each array
+    slot; None unless the jet is of one point or of a block of lines.
+
+    A block of lines is a (k, 1) column of u or a (1, n) row of v, as the
+    exporters pass them.  A flat array of points is not keyed: its entry
+    would hold the jets of a whole grid.  Bits rather than values, so
+    +0.0 and -0.0 stay apart; only exact floats and float64 arrays,
+    because an int or a numpy scalar with the same value can round
+    differently inside a profile.
     """
-    slots = (j.val, j.du, j.dv, j.duu, j.duv, j.dvv)
-    for s in slots:
-        if type(s) is not float:
-            return None
-    return _SLOTS.pack(*slots)
+    val = j.val
+    slots = (val, j.du, j.dv, j.duu, j.duv, j.dvv)
+    if type(val) is float:      # the common case of one point
+        for s in slots:
+            if type(s) is not float:
+                return None
+        return _SLOTS.pack(*slots)
+    if type(val) is np.ndarray and not (val.ndim == 2 and 1 in val.shape):
+        return None
+    keys = tuple(map(_slot_key, slots))
+    return None if None in keys else keys
 
 
 def _line_memo(evaluate: Callable[[Jet2], tuple]) -> Callable[[Jet2], tuple]:
-    """``evaluate`` with its results kept per one-point jet.
+    """``evaluate`` with its results kept per jet.
 
-    A one-point jet is looked up by its exact bits, so the memo holds one
-    entry per distinct jet asked for; array jets already cover a whole
-    grid and are evaluated directly.
+    A jet is looked up by its exact bits, so the memo holds one entry per
+    distinct jet asked for: per grid line for one-point jets, and per
+    block of lines for array jets.
     """
     hits: dict = {}
 
@@ -224,9 +246,9 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi) -> SurfacePatch:
     violations raise :class:`AdmissibilityError` naming the inequality and
     the offending parameter value.  The resulting patch carries the
     family-adapted normal frame and its profiles ``(fp, phi)``.  The
-    immersion and the frame share one memo of profile jets per u line and
-    per v line, so a grid of nu x nv points evaluates f and g nu times and
-    phi nv times.
+    immersion and the frame share one memo of profile jets per u jet and
+    per v jet, so an nu x nv grid evaluates f and g on nu values and phi
+    on nv values, whether point by point or in blocks of whole u lines.
     """
     for u in fp.domain.linspace(_CHECK_SAMPLES):
         fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)

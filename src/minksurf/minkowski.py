@@ -10,10 +10,11 @@ basis {e1, e2, xi1, xi2} with two lightlike legs
 is used by the rotational constructions with lightlike axis.
 
 Coordinates, and every scalar computed from them, are either Python
-floats (one point) or equal-length float64 arrays (many points).  The same
-lines of code serve both: :func:`elementary` looks up ``math`` or
-``numpy``, and :func:`first_failure` lets a guard fail if any element
-fails, naming the first failing element as a one-point call would.
+floats (one point) or float64 arrays that broadcast together (many
+points).  The same lines of code serve both: :func:`elementary` looks up
+``math`` or ``numpy``, and :func:`first_failure` lets a guard fail if any
+element fails, naming the first failing element as a one-point call would.
+An array result equals the one-point results bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,13 +31,32 @@ from .errors import Error
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# Elementary functions for one point and for arrays of points.  ``where``
-# picks element-wise between floats, arrays or whole vectors.
+# Elementary functions for one point and for arrays of points.  ``pow``
+# is float ``**`` with a real exponent.  ``where`` picks element-wise
+# between floats, arrays or whole vectors.
 _FLOAT_OPS = SimpleNamespace(
     sin=math.sin, cos=math.cos, exp=math.exp, log=math.log, sqrt=math.sqrt,
-    copysign=math.copysign, frexp=math.frexp, ldexp=math.ldexp,
+    pow=pow, copysign=math.copysign, frexp=math.frexp, ldexp=math.ldexp,
     hypot=math.hypot, max=max,
     where=lambda mask, a, b: a if mask else b)
+
+
+def _inf_on_overflow(fn, x):
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
+
+
+def _like_math(fn, a):
+    """``fn`` of each element of array ``a``, as one float call rounds it;
+    inf where that call overflows (an OverflowError for ``math``)."""
+    flat = a.ravel().tolist()
+    try:
+        out = list(map(fn, flat))
+    except OverflowError:
+        out = [_inf_on_overflow(fn, x) for x in flat]
+    return np.array(out, dtype=float).reshape(a.shape)
 
 
 def _array_where(mask, a, b):
@@ -46,8 +66,13 @@ def _array_where(mask, a, b):
     return np.where(mask, a, b)
 
 
+# numpy's exp, log and ** round differently from math's, so those map the
+# float functions over the elements; its sin, cos and sqrt agree bit for
+# bit with math's.
 _ARRAY_OPS = SimpleNamespace(
-    sin=np.sin, cos=np.cos, exp=np.exp, log=np.log, sqrt=np.sqrt,
+    sin=np.sin, cos=np.cos, sqrt=np.sqrt,
+    exp=partial(_like_math, math.exp), log=partial(_like_math, math.log),
+    pow=lambda a, p: _like_math(float(p).__rpow__, a),
     copysign=np.copysign, frexp=np.frexp, ldexp=np.ldexp,
     hypot=lambda *xs: reduce(np.hypot, xs),
     max=lambda *xs: reduce(np.maximum, xs),
@@ -70,18 +95,21 @@ def first_failure(failed, *values):
     element where it holds, as Python scalars.
 
     ``failed`` is a bool or a bool array; each value is a float or an
-    array of the same length.
+    array.  Arrays are broadcast together with ``failed`` and searched in
+    row-major order, so a (k, 1) u column and a (1, n) v row name the
+    first failing point of the k x n block.
     """
     if failed is False:     # the common case of one point that passes
         return None
-    if isinstance(failed, np.ndarray):
-        hits = np.flatnonzero(failed)
-        if not hits.size:
-            return None
-        i = hits[0]
-        return tuple(np.broadcast_to(x, failed.shape).reshape(-1)[i].item()
-                     for x in values)
-    return values if failed else None
+    shape = np.broadcast_shapes(np.shape(failed), *map(np.shape, values))
+    if not shape:
+        return values if failed else None
+    hits = np.flatnonzero(np.broadcast_to(failed, shape))
+    if not hits.size:
+        return None
+    i = hits[0]
+    return tuple(np.broadcast_to(x, shape).reshape(-1)[i].item()
+                 for x in values)
 
 
 class CausalCharacter(Enum):

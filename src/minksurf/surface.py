@@ -18,9 +18,11 @@ patch) and else the canonical one, which projects e4 (always timelike in
 the normal space of a spacelike tangent plane) for n2 and takes n1 from
 the Minkowski cross product of z_u, z_v and n2.
 
-Everything here takes (u, v) as floats or as equal-length float64 arrays
-and runs the same code for both (see :mod:`minksurf.minkowski`).  An array
-call computes every point at once.  A check fails if it fails at any
+Everything here takes (u, v) as floats or as float64 arrays that
+broadcast together, a (k, 1) column of u and a (1, n) row of v giving a
+k x n block, and runs the same code for both (see
+:mod:`minksurf.minkowski`).  An array call computes every point at once,
+bit for bit as one-point calls would.  A check fails if it fails at any
 point, with the message a one-point call gives at the first point where
 that check fails.
 """
@@ -31,7 +33,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import DegenerateFrame, DomainError, NotSpacelike
+import numpy as np
+
+from .errors import DegenerateFrame, DomainError, NotSpacelike, ParamError
 from .jets import Jet2, Jet2Vec4
 from .minkowski import (E4, ZERO, CausalCharacter, Vec4M, causal_character,
                         elementary, first_failure, inner)
@@ -80,6 +84,38 @@ class Interval:
 class Rect:
     u: Interval
     v: Interval
+
+
+@dataclass(frozen=True, slots=True)
+class GridSpec:
+    """Sample counts and ranges for a rectangular sample grid."""
+
+    u_samples: int
+    v_samples: int
+    u_range: Interval
+    v_range: Interval
+
+    def __post_init__(self):
+        if self.u_samples < 2 or self.v_samples < 2:
+            raise ParamError("grids need at least 2 samples per axis")
+
+    def points(self):
+        for u in self.u_range.linspace(self.u_samples):
+            for v in self.v_range.linspace(self.v_samples):
+                yield u, v
+
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points of :meth:`points` as flat U, V arrays, same order."""
+        us = np.array(self.u_range.linspace(self.u_samples))
+        vs = np.array(self.v_range.linspace(self.v_samples))
+        return np.repeat(us, self.v_samples), np.tile(vs, self.u_samples)
+
+    @staticmethod
+    def for_patch(patch: "SurfacePatch", nu: int, nv: int) -> "GridSpec":
+        """An nu x nv grid on the patch's domain inset by 2 % per side."""
+        return GridSpec(nu, nv,
+                        Interval(*patch.domain.u.linspace(2, inset=0.02)),
+                        Interval(*patch.domain.v.linspace(2, inset=0.02)))
 
 
 FrameFn = Callable[[float, float], tuple[Vec4M, Vec4M]]
@@ -141,6 +177,16 @@ def _cross(a: Vec4M, b: Vec4M, c: Vec4M) -> Vec4M:
                  c.x2 * p13 - c.x1 * p23 - c.x3 * p12)
 
 
+def _metric(z_u: Vec4M, z_v: Vec4M) -> tuple:
+    """E, F, G and EG - F^2; an overflow gives inf or NaN without a numpy
+    warning, and the spacelike guard names it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = inner(z_u, z_u)
+        f = inner(z_u, z_v)
+        g = inner(z_v, z_v)
+        return e, f, g, e * g - f * f
+
+
 def _not_spacelike(e, det2):
     """Where E or EG - F^2 is not a finite number > 0 (NaN and inf fail)."""
     return ((e <= 0.0) | (det2 <= 0.0) | (e != e) | (det2 != det2)
@@ -156,10 +202,7 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     z_u, z_v and n2: <x,x> = EG - F^2 > 0 in exact arithmetic, and the
     sign makes det[z_u | z_v | n1 | n2] = sqrt(<x,x>) > 0.
     """
-    e = inner(z_u, z_u)
-    f = inner(z_u, z_v)
-    g = inner(z_v, z_v)
-    det2 = e * g - f * f
+    e, f, g, det2 = _metric(z_u, z_v)
     bad = first_failure(_not_spacelike(e, det2), e, det2)
     if bad:
         raise NotSpacelike(None, None, *bad)
@@ -185,7 +228,7 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
 @dataclass(slots=True)
 class PointData:
     """All pointwise geometry of an immersion at one (u, v), or at each
-    point of equal-length (u, v) arrays.
+    point of (u, v) arrays that broadcast together.
 
     Never modified after construction (see
     :class:`~minksurf.minkowski.Vec4M`).
@@ -259,10 +302,7 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     FRAME_TOL but not for orientation, so sign-flipped frames can be probed
     deliberately.  Without one the canonical :func:`normal_frame` is used.
     """
-    e = inner(z_u, z_u)
-    f = inner(z_u, z_v)
-    g = inner(z_v, z_v)
-    det2 = e * g - f * f
+    e, f, g, det2 = _metric(z_u, z_v)
     bad = first_failure(_not_spacelike(e, det2), u, v, e, det2)
     if bad:
         raise NotSpacelike(*bad)

@@ -20,11 +20,11 @@ from functools import reduce
 import numpy as np
 
 from . import jets as _j
-from .errors import ParamError, UsageError
+from .errors import UsageError
 from .jets import Jet2
 from .minkowski import Vec4M, first_failure, inner
-from .surface import (Interval, SurfacePatch, is_marginally_trapped,
-                      jet_eval_surface, point_data)
+from .surface import (GridSpec, Interval, SurfacePatch,
+                      is_marginally_trapped, jet_eval_surface, point_data)
 # profile_v is not called here; perfbench/spans.py counts profile
 # evaluations through both names of this module.
 from .meridian import (MTFamilyParams, ProfileCurvePhi, ProfilePair,
@@ -33,38 +33,6 @@ from .meridian import (MTFamilyParams, ProfileCurvePhi, ProfilePair,
                        mt_general_profile, parabolic_closed_forms,
                        plane_section_curvature, plane_section_phi,
                        profile_u, profile_v)  # noqa: F401
-
-
-@dataclass(frozen=True, slots=True)
-class GridSpec:
-    """Sample counts and ranges for a rectangular verification grid."""
-
-    u_samples: int
-    v_samples: int
-    u_range: Interval
-    v_range: Interval
-
-    def __post_init__(self):
-        if self.u_samples < 2 or self.v_samples < 2:
-            raise ParamError("grids need at least 2 samples per axis")
-
-    def points(self):
-        for u in self.u_range.linspace(self.u_samples):
-            for v in self.v_range.linspace(self.v_samples):
-                yield u, v
-
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """The points of :meth:`points` as flat U, V arrays, same order."""
-        us = np.array(self.u_range.linspace(self.u_samples))
-        vs = np.array(self.v_range.linspace(self.v_samples))
-        return np.repeat(us, self.v_samples), np.tile(vs, self.u_samples)
-
-    @staticmethod
-    def for_patch(patch: SurfacePatch, nu: int, nv: int) -> "GridSpec":
-        """An nu x nv grid on the patch's domain inset by 2 % per side."""
-        return GridSpec(nu, nv,
-                        Interval(*patch.domain.u.linspace(2, inset=0.02)),
-                        Interval(*patch.domain.v.linspace(2, inset=0.02)))
 
 
 @dataclass(frozen=True)

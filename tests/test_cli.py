@@ -2,8 +2,10 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,21 +13,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minksurf
-from minksurf import cli
+from minksurf import cli, exporters
 from minksurf.cli import run_cli
 from minksurf.errors import SingularProjection
 from minksurf.exporters import (CSV_HEADER, DEFAULT_PROJECTION,
-                                export_grid_csv, export_obj,
-                                export_positions_csv, fmt, row_format)
+                                POSITIONS_HEADER, export_grid_csv,
+                                export_obj, export_positions_csv, fmt,
+                                row_format)
 from minksurf.expr import compile_profile
-from minksurf.errors import ExprError
-from minksurf.jets import Jet2
+from minksurf.errors import ExprError, NotSpacelike
+from minksurf.jets import Jet2, Jet2Vec4
 from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                                ProfilePair, build_parabolic, kappa_bar,
                                mt_general_profile, plane_section_phi,
                                profile_v)
-from minksurf.surface import Interval, SurfacePatch, point_data
-from minksurf.verify import GridSpec
+from minksurf.surface import (GridSpec, Interval, SurfacePatch,
+                              jet_eval_surface, point_data)
 
 MT_ARGS = ["family", "--type", "parabolic-mt", "--a", "-1", "--b", "0",
            "--c", "1", "--sign", "plus",
@@ -390,14 +393,14 @@ class TestRejectedInputs:
         assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_metric_is_not_spacelike(self, tmp_path, capsys):
-        # -2 f'g' = inf passes the admissibility samples; E is inf - inf.
+        # -2 f'g' overflows to inf, which the admissibility samples reject
+        # at build time, naming the inequality rather than E = inf - inf.
         out = tmp_path / "z.csv"
         code = run_cli(["invariants", "--f-expr", "1e200*u",
                         "--g-expr=-1e200*u", "--phi-expr", "1",
                         "--u", "0.5:2:3", "--v", "0:1:3", "--csv", str(out)])
-        self.assert_rejected(
-            capsys, code,
-            "not spacelike at (u,v)=(0.5,0.0): E=nan, EG-F^2=nan")
+        self.assert_rejected(capsys, code,
+                             "error: -f'*g' > 0 violated at u = 0.5\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_v_range_must_stay_on_the_section_arc(self, tmp_path, capsys):
@@ -423,11 +426,55 @@ def fresh_per_point(build) -> SurfacePatch:
                    frame=lambda u, v: build().frame(u, v))
 
 
+def per_point_csv(patch, grid, positions_only=False) -> bytes:
+    """The exporters' CSV from one float call per point, each row written
+    with ``row_format``."""
+    header = POSITIONS_HEADER if positions_only else CSV_HEADER
+    line = row_format(header.count(",") + 1)
+    out = [header + "\n"]
+    for u, v in grid.points():
+        if positions_only:
+            z = jet_eval_surface(patch, u, v).value()
+            out.append(line % (u, v, *z.coords()))
+        else:
+            p = point_data(patch, u, v)
+            out.append(line % (u, v, *p.z.coords(), p.E, p.F, p.G, p.L, p.M,
+                               p.N, p.k, p.kappa_normal, p.K, *p.H.coords(),
+                               p.h_dot_h()))
+    return "".join(out).encode()
+
+
+def per_point_obj(patch, grid) -> bytes:
+    """``export_obj``'s default-projection mesh from one float call and
+    one ``proj @ z`` per vertex."""
+    proj = np.asarray(DEFAULT_PROJECTION)
+    vertex = "v " + row_format(3, " ")
+    out = [vertex % tuple((proj @ np.array(
+               jet_eval_surface(patch, u, v).value().coords())).tolist())
+           for u, v in grid.points()]
+    nv = grid.v_samples
+    for i in range(grid.u_samples - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            out.append(f"f {a} {a + 1} {a + nv + 1}\n"
+                       f"f {a} {a + nv + 1} {a + nv}\n")
+    return "".join(out).encode()
+
+
 class TestPerLineMemoOutput:
-    """Exports from one patch match rows built per point, byte for byte."""
+    """Exports from one patch, a block of u lines per array call, match
+    rows built from one float call per point, byte for byte."""
 
     U, V = "0.4:2.5:7", "0.1:6.2:5"
     GRID = GridSpec(7, 5, Interval(0.4, 2.5), Interval(0.1, 6.2))
+
+    @staticmethod
+    def expression_patch(exprs, grid):
+        fp = ProfilePair(compile_profile(exprs["f"], "u"),
+                         compile_profile(exprs["g"], "u"), grid.u_range)
+        phi = ProfileCurvePhi(compile_profile(exprs["phi"], "v"),
+                              grid.v_range)
+        return build_parabolic(fp, phi)
 
     def test_sample_csv_and_obj(self, tmp_path):
         exprs = {"f": "1.5 + exp(-u)", "g": "u + u^3/3",
@@ -438,21 +485,11 @@ class TestPerLineMemoOutput:
                         "--csv", str(tmp_path / "s.csv"),
                         "--obj", str(tmp_path / "s.obj")])
         assert code == 0
-
-        def build():
-            fp = ProfilePair(compile_profile(exprs["f"], "u"),
-                             compile_profile(exprs["g"], "u"),
-                             self.GRID.u_range)
-            phi = ProfileCurvePhi(compile_profile(exprs["phi"], "v"),
-                                  self.GRID.v_range)
-            return build_parabolic(fp, phi)
-
-        ref = fresh_per_point(build)
-        export_positions_csv(ref, self.GRID, str(tmp_path / "r.csv"))
-        export_obj(ref, self.GRID, DEFAULT_PROJECTION, str(tmp_path / "r.obj"))
-        for ext in ("csv", "obj"):
-            assert ((tmp_path / f"s.{ext}").read_bytes()
-                    == (tmp_path / f"r.{ext}").read_bytes())
+        ref = fresh_per_point(lambda: self.expression_patch(exprs, self.GRID))
+        assert ((tmp_path / "s.csv").read_bytes()
+                == per_point_csv(ref, self.GRID, positions_only=True))
+        assert (tmp_path / "s.obj").read_bytes() == per_point_obj(ref,
+                                                                  self.GRID)
 
     def test_family_csv(self, tmp_path):
         code = run_cli(MT_ARGS + ["--u", self.U, "--v", self.V,
@@ -468,10 +505,23 @@ class TestPerLineMemoOutput:
                                   self.GRID.v_range)
             return build_parabolic(fp, phi)
 
-        export_grid_csv(fresh_per_point(build), self.GRID,
-                        str(tmp_path / "r.csv"))
         assert ((tmp_path / "f.csv").read_bytes()
-                == (tmp_path / "r.csv").read_bytes())
+                == per_point_csv(fresh_per_point(build), self.GRID))
+
+    def test_invariants_csv_with_exp_ln_and_real_powers(self, tmp_path):
+        # numpy's ** and exp round differently from float ** and
+        # math.exp: with either on the array path this CSV differs, from
+        # line 553 (**) and from line 1852 (exp).
+        exprs = {"f": "1.5 + exp(-u)", "g": "ln(u) + u^1.5",
+                 "phi": "2 + 0.5*sin(v)"}
+        grid = GridSpec(60, 50, Interval(0.5, 2.0), Interval(0.0, 6.283))
+        code = run_cli(["invariants", "--f-expr", exprs["f"],
+                        "--g-expr=" + exprs["g"], "--phi-expr", exprs["phi"],
+                        "--u", "0.5:2:60", "--v", "0:6.283:50",
+                        "--csv", str(tmp_path / "i.csv")])
+        assert code == 0
+        assert ((tmp_path / "i.csv").read_bytes()
+                == per_point_csv(self.expression_patch(exprs, grid), grid))
 
 
 class TestAtomicOutput:
@@ -497,28 +547,65 @@ class TestAtomicOutput:
         assert out.read_bytes() == b"earlier output\n"
         assert [p.name for p in tmp_path.iterdir()] == ["q.csv"]
 
-    @pytest.mark.parametrize("export", ["positions", "obj"])
-    def test_position_exporters_are_atomic(self, tmp_path, export):
+    @pytest.mark.parametrize("export", ["positions", "obj", "grid"])
+    def test_position_exporters_are_atomic(self, tmp_path, monkeypatch,
+                                           export):
+        # The immersion fails in the second block of u lines, after the
+        # first block's rows were written to the temporary file.
         base = flat_patch()
-        calls = []
+        grid = GridSpec(150, 10, Interval(0.6, 1.9), Interval(0.1, 6.0))
+        assert exporters.BLOCK_POINTS // grid.v_samples == 100
+        u_fail = grid.u_range.linspace(grid.u_samples)[120]
+        rows = []
 
         def failing(ju, jv):
-            calls.append(1)
-            if len(calls) == 5:
+            if np.any(ju.val >= u_fail):
                 raise ExprError("fails mid-grid", 0)
             return base.immersion(ju, jv)
 
+        real_writer = exporters.atomic_writer
+
+        @contextmanager
+        def counting_writer(path):
+            with real_writer(path) as fh:
+                yield SimpleNamespace(
+                    write=lambda text: rows.append(text.count("\n"))
+                    or fh.write(text))
+
+        monkeypatch.setattr(exporters, "atomic_writer", counting_writer)
         patch = SurfacePatch(failing, base.domain)
-        grid = GridSpec(3, 3, Interval(0.6, 1.9), Interval(0.1, 6.0))
         out = tmp_path / "m.out"
         out.write_bytes(b"earlier output\n")
         with pytest.raises(ExprError):
             if export == "obj":
                 export_obj(patch, grid, DEFAULT_PROJECTION, str(out))
+            elif export == "grid":
+                export_grid_csv(patch, grid, str(out))
             else:
                 export_positions_csv(patch, grid, str(out))
+        assert sum(rows) >= 1000
         assert out.read_bytes() == b"earlier output\n"
         assert [p.name for p in tmp_path.iterdir()] == ["m.out"]
+
+    def test_a_failing_block_names_its_first_failing_point(self, tmp_path):
+        # z_u is timelike everywhere, and the immersion raises further on
+        # in the same block of u lines.  One float call per point would
+        # stop at the first point, so the export does too.
+        base = flat_patch()
+        grid = GridSpec(5, 4, Interval(0.6, 1.9), Interval(0.1, 6.0))
+        u_late = grid.u_range.linspace(grid.u_samples)[3]
+
+        def immersion(ju, jv):
+            if np.any(ju.val >= u_late):
+                raise ExprError("fails further on", 0)
+            z = base.immersion(ju, jv)
+            return Jet2Vec4(z.x1, z.x2, z.x3, z.x4 + 10.0 * ju)
+
+        patch = SurfacePatch(immersion, base.domain)
+        with pytest.raises(NotSpacelike) as err:
+            export_grid_csv(patch, grid, str(tmp_path / "b.csv"))
+        assert (err.value.u, err.value.v) == (0.6, 0.1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_success_replaces_the_target(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -11,7 +11,8 @@ from minksurf.errors import (AdmissibilityError, CurvatureMismatch,
 from minksurf.jets import Jet2
 from minksurf.minkowski import (E1, E2, XI1, XI2, NullFrameCoords, Vec4M,
                                 from_null_frame, inner, to_null_frame)
-from minksurf.exporters import export_grid_csv
+from minksurf.exporters import (BLOCK_POINTS, export_grid_csv, export_obj,
+                                export_positions_csv)
 from minksurf.surface import Interval, point_data, jet_eval_surface
 from minksurf.verify import GridSpec
 from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
@@ -514,23 +515,30 @@ class TestProfileLineMemo:
         assert before == _bits(point_data(build_parabolic(fp, phi), us, vs))
 
     def test_export_evaluates_each_profile_once_per_line(self, tmp_path):
+        # Counts evaluated values, not calls: a block of u lines is one
+        # array call.  The 40 x 60 grid spans three blocks of 16 u lines.
         base_fp, base_phi = _general_family()
         calls = {"f": 0, "g": 0, "phi": 0}
 
         def counting(name, fn):
             def wrapped(j):
-                calls[name] += 1
+                calls[name] += np.size(j.val)
                 return fn(j)
             return wrapped
 
         fp = ProfilePair(counting("f", base_fp.f), counting("g", base_fp.g),
                          base_fp.domain)
         phi = ProfileCurvePhi(counting("phi", base_phi.phi), base_phi.domain)
-        patch = build_parabolic(fp, phi)
-        admissibility = dict(calls)
-        assert admissibility == {"f": 41, "g": 41, "phi": 41}
-        nu, nv = 9, 7
-        export_grid_csv(patch, GridSpec.for_patch(patch, nu, nv),
-                        str(tmp_path / "grid.csv"))
-        assert {k: calls[k] - admissibility[k] for k in calls} == {
-            "f": nu, "g": nu, "phi": nv}
+        out = str(tmp_path / "out")
+        exports = [
+            lambda patch, grid: export_grid_csv(patch, grid, out),
+            lambda patch, grid: export_positions_csv(patch, grid, out),
+            lambda patch, grid: export_obj(patch, grid, path=out)]
+        assert 40 * 60 > BLOCK_POINTS > 16 * 60
+        for nu, nv in ((9, 7), (40, 60)):
+            for export in exports:
+                calls.update(f=0, g=0, phi=0)
+                patch = build_parabolic(fp, phi)
+                assert calls == {"f": 41, "g": 41, "phi": 41}
+                export(patch, GridSpec.for_patch(patch, nu, nv))
+                assert calls == {"f": 41 + nu, "g": 41 + nu, "phi": 41 + nv}

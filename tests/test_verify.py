@@ -390,6 +390,11 @@ class TestGridReduction:
 
 
 class TestDeterminismAndSuite:
+    def test_grid_spec_is_the_surface_grid(self):
+        # GridSpec lives next to Interval and Rect; verify re-exports it.
+        from minksurf import surface
+        assert verify.GridSpec is surface.GridSpec
+
     def test_reports_are_bit_identical(self):
         patch = cubic_patch()
         grid = GridSpec.for_patch(patch, 12, 12)
