@@ -212,12 +212,10 @@ def _cmd_section(args) -> int:
     print(f"sampled max deviation: "
           f"{exporters.fmt(max(abs(x - curvature) for x in values))}")
     if args.csv:
-        line = exporters.row_format(3)
-        with exporters.atomic_writer(args.csv) as fh:
-            fh.write("v,phi,kappa_bar\n")
-            for v, pj, kb in zip(vs, phis, values):
-                fh.write(line % (v, pj.val, kb))
-        print(f"wrote {len(vs)} rows to {args.csv}", file=sys.stderr)
+        rows = exporters.write_csv(
+            args.csv, "v,phi,kappa_bar",
+            [[(v, pj.val, kb) for v, pj, kb in zip(vs, phis, values)]])
+        print(f"wrote {rows} rows to {args.csv}", file=sys.stderr)
     return 0
 
 

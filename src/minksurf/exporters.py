@@ -1,19 +1,26 @@
 """CSV and polygonal-mesh export of sampled surface geometry.
 
-All reals are serialized with 17 significant digits, which round-trips
-binary64 exactly; identical inputs therefore produce byte-identical files.
-Every file is written atomically: a run that fails leaves no partial file
-and does not touch a file already at the target path.
+All reals are serialized as ``'%.17g'`` writes them (:func:`fmt`): 17
+significant digits, which round-trip binary64 exactly, so identical
+inputs produce byte-identical files.  Every file is written atomically:
+a run that fails leaves no partial file and does not touch a file already
+at the target path.
 
 The exporters evaluate the grid in blocks of whole u lines, about
 :data:`BLOCK_POINTS` points each, with one array call of the surface
-engine per block, and write each block with one ``%`` of a repeated row
-format.  The bytes are those of one float call per point, and an error
-names the first failing point in row-major order, as one call per point
-would: a block that fails is evaluated again point by point.  Memory
-grows with the block, not with the grid, apart from the profile memos
-of a parabolic patch (see :func:`~minksurf.meridian.build_parabolic`),
+engine per block.  The bytes are those of one float call per point, and
+an error names the first failing point in row-major order, as one call
+per point would: a block that fails is evaluated again point by point.
+Memory grows with the block, not with the grid, apart from the profile
+memos of a parabolic patch (see :func:`~minksurf.meridian.build_parabolic`),
 which hold one entry per block of u lines and one for the v row.
+
+Tables of reals (the CSV rows and the OBJ vertex lines) are written by
+``minksurf._fmt17.table_text``: uint64 numpy passes produce the digits of
+chunks of up to 4096 values, and any value whose rounding they cannot
+certify is formatted with ``'%.17g' %``, so the text is that of ``%`` on
+every field.  That module and its tables are imported on the first write,
+so a run that exports nothing does not pay for them.
 """
 
 from __future__ import annotations
@@ -45,12 +52,6 @@ DEFAULT_PROJECTION: tuple[tuple[float, ...], ...] = (
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def row_format(n: int, sep: str = ",") -> str:
-    """A ``%`` format string for one row of n reals joined by ``sep`` and
-    ended by a newline: each field reads as :func:`fmt` would write it."""
-    return sep.join(["%.17g"] * n) + "\n"
 
 
 @contextmanager
@@ -109,20 +110,24 @@ def _blocks(grid: GridSpec, evaluate):
         yield block
 
 
-def _write_tables(fh, line: str, tables) -> int:
-    """Write each table with one ``%`` of ``line`` repeated once per row;
-    returns the number of rows."""
+def _write_tables(fh, tables, sep: str = ",", lead: str = "") -> int:
+    """Write each row of each table as ``lead``, its fields as :func:`fmt`
+    writes them joined by ``sep``, and a newline; returns the number of
+    rows."""
+    from ._fmt17 import table_text     # its tables are built on first use
     rows = 0
     for table in tables:
-        fh.write(line * len(table) % tuple(table.ravel().tolist()))
+        fh.write(table_text(table, sep, lead))
         rows += len(table)
     return rows
 
 
-def _write_csv(path: str, header: str, tables) -> int:
+def write_csv(path: str, header: str, tables) -> int:
+    """Write ``header`` and the rows of each 2-D table of reals to a CSV
+    file, atomically; returns the number of data rows."""
     with atomic_writer(path) as fh:
         fh.write(header + "\n")
-        return _write_tables(fh, row_format(header.count(",") + 1), tables)
+        return _write_tables(fh, tables)
 
 
 def _positions(patch: SurfacePatch, u, v) -> np.ndarray:
@@ -143,12 +148,12 @@ def export_grid_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
                        p.k, p.kappa_normal, p.K, *p.H.coords(),
                        p.h_dot_h()))
 
-    return _write_csv(path, CSV_HEADER, _blocks(grid, evaluate))
+    return write_csv(path, CSV_HEADER, _blocks(grid, evaluate))
 
 
 def export_positions_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
     """Write sampled positions only (u, v, x1..x4); returns the row count."""
-    return _write_csv(path, POSITIONS_HEADER,
+    return write_csv(path, POSITIONS_HEADER,
                       _blocks(grid, partial(_positions, patch)))
 
 
@@ -181,7 +186,6 @@ def export_obj(patch: SurfacePatch, grid: GridSpec,
         return xyz
 
     nu, nv = grid.u_samples, grid.v_samples
-    vertex = "v " + row_format(3, " ")
     # The cell between u lines i, i + 1 and v samples j, j + 1 has the
     # 1-based corners a = i*nv + j + 1, b = a + 1, c = a + nv, d = c + 1
     # and becomes the triangles (a, b, d) and (a, d, c).
@@ -190,7 +194,7 @@ def export_obj(patch: SurfacePatch, grid: GridSpec,
                           axis=1).ravel()
     faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
     with atomic_writer(path) as fh:
-        _write_tables(fh, vertex, _blocks(grid, evaluate))
+        _write_tables(fh, _blocks(grid, evaluate), " ", "v ")
         for i in range(nu - 1):
             fh.write(faces % tuple((first_line + i * nv).tolist()))
     return nu * nv, 2 * (nu - 1) * (nv - 1)

@@ -5,10 +5,12 @@ with max (or stdev where constancy is the claim) and returns a
 :class:`VerificationReport`; the report passes iff the residual stays
 within its threshold and no explicit failure was recorded.  A grid
 certificate evaluates its whole grid in one array call of the surface
-engine and reduces it with numpy.  Claims are certified numerically at grid
-resolution, not symbolically; with exact jet derivatives the residuals are
-limited only by rounding, so thresholds around 1e-9 .. 1e-10 leave three
-to six orders of margin over the observed noise.
+engine, with the u samples as a (nu, 1) column and the v samples as a
+(1, nv) row, and reduces it with numpy in row-major order.  Claims are
+certified numerically at grid resolution, not symbolically; with exact
+jet derivatives the residuals are limited only by rounding, so
+thresholds around 1e-9 .. 1e-10 leave three to six orders of margin over
+the observed noise.
 """
 
 from __future__ import annotations
@@ -69,16 +71,19 @@ def _grid_report(claim_id: str, residual, us, vs, threshold: float,
                  failure: str = "") -> VerificationReport:
     """Report the largest residual over sample points and its witness.
 
-    ``residual`` is a float or an array broadcast over the points (us, vs).
-    The witness is the first point of the maximum, or the first NaN, which
-    then becomes the residual so the claim fails; it is (nan, nan) when
-    every residual is 0.
+    ``residual`` is a float or an array broadcast over the points of
+    ``us`` and ``vs`` broadcast together.  The witness is the first point,
+    in row-major order, of the maximum, or of the first NaN, which then
+    becomes the residual so the claim fails; it is (nan, nan) when every
+    residual is 0.
     """
-    r = np.broadcast_to(residual, np.shape(us))
+    shape = np.broadcast_shapes(np.shape(us), np.shape(vs))
+    r = np.broadcast_to(residual, shape).ravel()
     i = int(np.argmax(r))   # the first NaN, else the first maximum
     worst = float(r[i])
     if worst > 0.0 or math.isnan(worst):
-        point = (float(us[i]), float(vs[i]))
+        point = (float(np.broadcast_to(us, shape).flat[i]),
+                 float(np.broadcast_to(vs, shape).flat[i]))
     else:
         worst, point = 0.0, (math.nan, math.nan)
     return VerificationReport(claim_id, worst, threshold, point, r.size,
@@ -94,9 +99,20 @@ def _rel(a, b):
     return abs(a - b) / np.maximum(abs(b), 1.0)
 
 
-def _positions(z: Vec4M, n: int) -> np.ndarray:
-    """The 4 x n matrix of n vectors, one per column."""
-    return np.stack([np.broadcast_to(x, (n,)) for x in z.coords()])
+def _lines(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's u samples as a (nu, 1) column and its v samples as a
+    (1, nv) row.  Broadcast together they are the points of
+    :meth:`GridSpec.points`, and a parabolic patch evaluates each profile
+    once per line (see :func:`~minksurf.meridian.build_parabolic`)."""
+    us = np.array(grid.u_range.linspace(grid.u_samples))
+    vs = np.array(grid.v_range.linspace(grid.v_samples))
+    return us[:, None], vs[None, :]
+
+
+def _positions(z: Vec4M, shape: tuple[int, ...]) -> np.ndarray:
+    """The 4 x n matrix of the vectors over ``shape``, one per column, in
+    row-major order."""
+    return np.stack([np.broadcast_to(x, shape).ravel() for x in z.coords()])
 
 
 # Largest |kappa_bar| that verify_case1_hyperplane accepts as zero.
@@ -116,7 +132,7 @@ def verify_flat_normal_connection(patch: SurfacePatch, grid: GridSpec,
                                   tol: float = 1e-10) -> VerificationReport:
     """max |kappa_normal| over the grid; zero for every admissible family."""
     _profiles(patch, "verify_flat_normal_connection")
-    us, vs = grid.mesh()
+    us, vs = _lines(grid)
     p = point_data(patch, us, vs)
     return _grid_report("flat-normal-connection", abs(p.kappa_normal),
                         us, vs, tol)
@@ -126,7 +142,7 @@ def verify_second_fundamental_form(patch: SurfacePatch, grid: GridSpec,
                                    tol: float = 1e-10) -> VerificationReport:
     """L and N vanish; M matches its reduced closed form (relative)."""
     fp, phi = _profiles(patch, "verify_second_fundamental_form")
-    us, vs = grid.mesh()
+    us, vs = _lines(grid)
     p = point_data(patch, us, vs)
     cf = parabolic_closed_forms(fp, phi, us, vs)
     res = _max(abs(p.L), abs(p.N), _rel(p.M, cf.M))
@@ -137,7 +153,7 @@ def verify_closed_form_invariants(patch: SurfacePatch, grid: GridSpec,
                                   tol: float = 1e-9) -> VerificationReport:
     """k, K, H1, H2 from jets against the reduced formulas (relative)."""
     fp, phi = _profiles(patch, "verify_closed_form_invariants")
-    us, vs = grid.mesh()
+    us, vs = _lines(grid)
     p = point_data(patch, us, vs)
     cf = parabolic_closed_forms(fp, phi, us, vs)
     res = _max(_rel(p.k, cf.k), _rel(p.K, cf.K), _rel(p.H1, cf.H1),
@@ -153,11 +169,12 @@ def verify_marginally_trapped(patch: SurfacePatch, grid: GridSpec,
     report also carries min (H1^2 + H2^2)^(1/2) so callers can assert
     H != 0 separately.
     """
-    us, vs = grid.mesh()
+    us, vs = _lines(grid)
     p = point_data(patch, us, vs)
     scale = p.H1 * p.H1 + p.H2 * p.H2
     res = abs(p.h_dot_h()) / np.maximum(scale, 1e-30)
-    min_h = float(np.min(np.sqrt(np.broadcast_to(scale, us.shape))))
+    shape = (us.size, vs.size)
+    min_h = float(np.min(np.sqrt(np.broadcast_to(scale, shape))))
     return _grid_report("lightlike-mean-curvature", res, us, vs, tol,
                         details={"min_H_norm": min_h})
 
@@ -237,14 +254,15 @@ def verify_case1_hyperplane(patch: SurfacePatch, grid: GridSpec,
     if bad:
         raise UsageError("generating-curve curvature is not zero "
                          "(kappa={!r} at v={!r})".format(*bad))
-    us, vs = grid.mesh()
+    us, vs = _lines(grid)
     p = point_data(patch, us, vs)
-    n1_ref = Vec4M(*_positions(p.n1, us.size)[:, 0].tolist())
-    plane_ref = inner(Vec4M(*_positions(p.z, us.size)[:, 0].tolist()), n1_ref)
+    shape = (us.size, vs.size)
+    n1_ref = Vec4M(*_positions(p.n1, shape)[:, 0].tolist())
+    plane_ref = inner(Vec4M(*_positions(p.z, shape)[:, 0].tolist()), n1_ref)
     dev_frame = (p.n1 - n1_ref).euclidean_norm()
     dev_plane = abs(inner(p.z, n1_ref) - plane_ref)
     trapped = int(np.count_nonzero(
-        np.broadcast_to(is_marginally_trapped(p), us.shape)))
+        np.broadcast_to(is_marginally_trapped(p), shape)))
     # A marginally trapped point contradicts the claim.
     return _grid_report(
         "zero-curvature-hyperplane", np.maximum(dev_frame, dev_plane),
@@ -260,7 +278,8 @@ def verify_meridian_planarity(patch: SurfacePatch, v0: float,
     _, phi = _profiles(patch, "verify_meridian_planarity")
     xi1, zbar = meridian_plane(phi, v0)
     us = patch.domain.u.linspace(12, inset=0.01)
-    z = _positions(jet_eval_surface(patch, np.array(us), v0).value(), len(us))
+    z = _positions(jet_eval_surface(patch, np.array(us), v0).value(),
+                   (len(us),))
     m = np.column_stack([xi1.coords(), zbar.coords(), z[:, 1:] - z[:, :1]])
     sv = np.linalg.svd(m, compute_uv=False)
     ratio = float(sv[2] / sv[0])
@@ -279,8 +298,9 @@ def verify_cone_lightlike_hyperplane(patch: SurfacePatch, grid: GridSpec,
     normal of the span.
     """
     _profiles(patch, "verify_cone_lightlike_hyperplane")
-    us, vs = grid.mesh()
-    z = _positions(jet_eval_surface(patch, us, vs).value(), us.size)
+    us, vs = _lines(grid)
+    z = _positions(jet_eval_surface(patch, us, vs).value(),
+                   (us.size, vs.size))
     m = z[:, 1:] - z[:, :1]
     # Only U (4x4) and the singular values are used: the reduced
     # factorisation gives the same ones without forming the square V^T.

@@ -1,4 +1,5 @@
-"""Shared test utilities: ulp comparison and random admissible families."""
+"""Shared test utilities: ulp comparison, random admissible families and
+the ``%`` row format that exported tables are checked against."""
 
 import math
 import random
@@ -21,6 +22,13 @@ def ulps_apart(a: float, b: float) -> float:
 def assert_ulps(a: float, b: float, limit: float, label: str = ""):
     d = ulps_apart(a, b)
     assert d <= limit, f"{label}: {a!r} vs {b!r} differ by {d:.1f} ulp > {limit}"
+
+
+def row_format(n: int, sep: str = ",") -> str:
+    """A ``%`` format string for one row of n reals joined by ``sep`` and
+    ended by a newline, each field as ``'%.17g'``: the reference bytes of
+    the exporters' table writer."""
+    return sep.join(["%.17g"] * n) + "\n"
 
 
 def rel_err(a: float, b: float, floor: float = 1.0) -> float:

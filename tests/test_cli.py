@@ -18,8 +18,7 @@ from minksurf.cli import run_cli
 from minksurf.errors import SingularProjection
 from minksurf.exporters import (CSV_HEADER, DEFAULT_PROJECTION,
                                 POSITIONS_HEADER, export_grid_csv,
-                                export_obj, export_positions_csv, fmt,
-                                row_format)
+                                export_obj, export_positions_csv, fmt)
 from minksurf.expr import compile_profile
 from minksurf.errors import ExprError, NotSpacelike
 from minksurf.jets import Jet2, Jet2Vec4
@@ -29,6 +28,8 @@ from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                                profile_v)
 from minksurf.surface import (GridSpec, Interval, SurfacePatch,
                               jet_eval_surface, point_data)
+
+from helpers import row_format
 
 MT_ARGS = ["family", "--type", "parabolic-mt", "--a", "-1", "--b", "0",
            "--c", "1", "--sign", "plus",
@@ -136,9 +137,9 @@ class TestCsvExport:
     @example(row=[*EDGE_FLOATS, 0, -7, 2 ** 64], sep=",")
     @settings(max_examples=300, deadline=None)
     def test_row_format_writes_what_fmt_writes(self, row, sep):
-        # The exporters' one format string per row must give the bytes of
-        # fmt on every field: signed zero, subnormals, the largest finite
-        # floats, inf, nan, ints and the numpy scalars of OBJ vertices.
+        # The reference format of the exporters' table writer must give
+        # the bytes of fmt on every field: signed zero, subnormals, the
+        # largest finite floats, inf, nan, ints and numpy scalars.
         assert (row_format(len(row), sep) % tuple(row)
                 == sep.join(fmt(x) for x in row) + "\n")
 

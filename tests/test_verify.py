@@ -228,9 +228,11 @@ class TestCase1Hyperplane:
         clean = verify_case1_hyperplane(patch, grid)
         assert clean.passed and not clean.failure
         assert "failure" not in clean.text_block()
-        # Report every other point as marginally trapped.
+        # Report every other point, in row-major order, as marginally
+        # trapped, whatever the shape of the evaluated (u, v).
         monkeypatch.setattr(verify, "is_marginally_trapped",
-                            lambda p: np.arange(p.u.size) % 2 == 0)
+                            lambda p: (np.arange(30) % 2 == 0).reshape(
+                                np.broadcast(p.u, p.v).shape))
         report = verify_case1_hyperplane(patch, grid)
         assert not report.passed
         assert report.failure == "15 marginally trapped points"
@@ -360,6 +362,45 @@ class TestGridReduction:
         grid = GridSpec(3, 4, Interval(0.1, 0.7), Interval(-1.0, 2.0))
         us, vs = grid.mesh()
         assert list(zip(us.tolist(), vs.tolist())) == list(grid.points())
+
+    def test_lines_broadcast_to_the_mesh(self):
+        grid = GridSpec(3, 4, Interval(0.1, 0.7), Interval(-1.0, 2.0))
+        col, row = verify._lines(grid)
+        assert col.shape == (3, 1) and row.shape == (1, 4)
+        us, vs = grid.mesh()
+        assert np.broadcast_to(col, (3, 4)).ravel().tolist() == us.tolist()
+        assert np.broadcast_to(row, (3, 4)).ravel().tolist() == vs.tolist()
+
+    def test_witness_of_a_column_by_row_is_row_major(self):
+        col, row = np.array([[0.1], [0.2]]), np.array([[1.0, 2.0, 3.0]])
+        residual = np.array([[0.0, 1e-16, 0.0], [3e-16, 0.0, 3e-16]])
+        report = verify._grid_report("demo", residual, col, row, 1e-9)
+        assert (report.max_residual, report.worst_point) == (3e-16,
+                                                            (0.2, 1.0))
+        assert report.samples == 6
+
+    def test_certificate_evaluates_each_profile_once_per_line(self):
+        # Counts evaluated values: the immersion and the adapted frame
+        # share one evaluation of f and g per u line and of phi per v line.
+        calls = {"f": 0, "g": 0, "phi": 0}
+
+        def counting(name, fn):
+            def wrapped(j):
+                calls[name] += np.size(j.val)
+                return fn(j)
+            return wrapped
+
+        fp = ProfilePair(counting("f", lambda j: j),
+                         counting("g", lambda j: -(j ** 3) / 3.0),
+                         Interval(0.5, 2.0))
+        phi = ProfileCurvePhi(counting("phi", lambda j: 2.0 + jets.sin(j)),
+                              Interval(0.0, TWO_PI))
+        patch = build_parabolic(fp, phi)
+        calls.update(f=0, g=0, phi=0)
+        report = verify_flat_normal_connection(
+            patch, GridSpec.for_patch(patch, 30, 20))
+        assert report.passed and report.samples == 600
+        assert calls == {"f": 30, "g": 30, "phi": 20}
 
     def test_first_maximum_is_the_witness(self):
         us, vs = np.arange(4.0), -np.arange(4.0)
