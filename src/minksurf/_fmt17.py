@@ -23,11 +23,16 @@ zero, normal and within [1e-60, 1e60), is formatted with ``'%.17g' %
 x``; zeros are laid out directly.  The text is byte-identical to ``%``
 for every float64.
 
-Each field is laid out in six little-endian uint64 words, with NUL for
-absent bytes (see :data:`_FIELD_WORDS`): the sign and ``0.000`` prefix
-and 17 (digit, dot slot) pairs come from a table of 4-digit groups
-masked by a row table, then an ``e+XX`` suffix and the separator.
-``tobytes().translate`` drops the NULs.
+Formatting is two steps.  :func:`fields` lays values out as field
+words: six little-endian uint64 words per value, with NUL for absent
+bytes (see :data:`_FIELD_WORDS`).  The sign and ``0.000`` prefix and 17
+(digit, dot slot) pairs come from a table of 4-digit groups masked by a
+row table, then an ``e+XX`` suffix and the field's separator (``sep``,
+or a newline and the next row's ``lead``).  :func:`_text` then joins an
+array of field words into text: ``tobytes().translate`` drops the NULs.
+Field words can be copied between rows before they are joined, which is
+how :class:`GridText` formats each distinct value of an export once.
+:func:`int_text` lays out ``%d`` fields the same way, for the OBJ faces.
 
 A table is formatted in chunks of at most :data:`CHUNK_VALUES` values,
 about 40 numpy passes each.  Smaller chunks pay more per-pass overhead;
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Most values per formatting pass (see the module docstring).
+# Most fields per formatting pass (see the module docstring).
 CHUNK_VALUES = 4096
 
 # Decimal exponents X of the cached powers: the fast path takes
@@ -156,6 +161,14 @@ _LAYOUT_ROW = np.array([18 * _layout(x) for x in _XS])
 _MIN_KEEP = np.array([x + 1 if 0 <= x < 17 else 0 for x in _XS])
 _SUFFIX = _words(["" if -4 <= x < 17 else "e%+03d" % x for x in _XS],
                  8)[:, 0]
+# _DIGITS4[g]: the four digits of g < 10^4 as one four-byte word.
+_DIGITS4 = (_G[:, None] // np.array([1000, 100, 10, 1], dtype=_SLOT) % 10
+            + ord("0")).astype(np.uint8).view("<u4")[:, 0]
+# An int a in [0, 10^16) has searchsorted(_POW10, a, "right") + 1 digits,
+# and row n of _DIGIT_MASKS keeps the last n of 16 digit bytes.
+_POW10 = 10 ** np.arange(1, 16, dtype=np.int64)
+_DIGIT_MASKS = np.where(np.arange(16) >= 16 - np.arange(17)[:, None],
+                        0xFF, 0).astype(np.uint8)
 
 
 def _mul128(a: np.ndarray, b0: np.ndarray, b1: np.ndarray):
@@ -218,17 +231,28 @@ def _separators(ncols: int, sep: str, lead: str) -> np.ndarray:
     return _words([sep] * (ncols - 1) + ["\n" + lead], 8)[:, 0] << _U64(32)
 
 
-def _chunk_bytes(table: np.ndarray, seps: np.ndarray) -> bytes:
-    nrows, ncols = table.shape
-    x = table.ravel()
-    d, xi, slow = _decimal(x)
+def fields(x: np.ndarray, out: np.ndarray | None = None,
+           seps=_U64(0)) -> np.ndarray:
+    """The field words of each value of the float64 array ``x``, as
+    ``'%.17g'`` writes it, followed by its separator word from ``seps``
+    (see :func:`_separators`; broadcast against ``x``, none by default):
+    ``out[i]`` holds ``x[i]``.
+
+    ``out`` (new if None) has the shape ``x.shape + (6,)`` and any strides
+    whose last axis is contiguous, so a table's columns can be laid out
+    straight into the rows that hold them.
+    """
+    if out is None:
+        out = np.empty(x.shape + (_FIELD_WORDS,), dtype=_WORD)
+    flat = x.ravel()
+    d, xi, slow = _decimal(flat)
 
     # The 17 digits as a lead digit and four groups of four.
     lead = d // 10 ** 16
     rest = d - lead * 10 ** 16
     high = rest // 10 ** 8
     low = rest - high * 10 ** 8
-    groups = np.empty((x.size, 5), dtype=np.intp)
+    groups = np.empty((flat.size, 5), dtype=np.intp)
     groups[:, 0] = lead + _LEAD
     groups[:, 1] = high // 10 ** 4
     groups[:, 2] = high - groups[:, 1] * 10 ** 4
@@ -239,19 +263,26 @@ def _chunk_bytes(table: np.ndarray, seps: np.ndarray) -> bytes:
     for col in (1, 2, 3):
         zeros = trailing[:, col] + (trailing[:, col] == 4) * zeros
     keep = np.maximum(17 - zeros, _MIN_KEEP.take(xi))
-    row = _LAYOUT_ROW.take(xi) + keep + _NEGATIVE * np.signbit(x)
+    row = _LAYOUT_ROW.take(xi) + keep + _NEGATIVE * np.signbit(flat)
 
-    out = np.empty((nrows, ncols, _FIELD_WORDS), dtype=_WORD)
-    words = out.reshape(-1, _FIELD_WORDS)
-    np.bitwise_and(_GROUPS.take(groups), _MASKS.take(row, axis=0),
-                   out=words[:, :5])
-    out[..., 5] = _SUFFIX.take(xi).reshape(nrows, ncols) | seps
+    words = x.shape + (5,)
+    np.bitwise_and(_GROUPS.take(groups).reshape(words),
+                   _MASKS.take(row, axis=0).reshape(words), out=out[..., :5])
+    out[..., 5] = _SUFFIX.take(xi).reshape(x.shape) | seps
     if slow.size:
-        rows, cols = slow // ncols, slow % ncols
-        text = ["%.17g" % v for v in x[slow].tolist()]
-        out[rows, cols, :5] = np.array(text, "S40")[:, None].view(_WORD)
-        out[rows, cols, 5] = seps[cols]
-    return out.tobytes().translate(None, b"\0")
+        at = np.unravel_index(slow, x.shape)
+        text = ["%.17g" % v for v in flat[slow].tolist()]
+        out[at + (slice(0, 5),)] = np.array(text, "S40").view(_WORD).reshape(
+            -1, 5)
+        out[at + (5,)] = np.broadcast_to(seps, x.shape)[at]
+    return out
+
+
+def _text(words: np.ndarray, lead: str) -> str:
+    """``lead`` and the rows of an array of field words, without the
+    ``lead`` that the last row's separator starts."""
+    rows = words.tobytes().translate(None, b"\0")
+    return lead + str(memoryview(rows)[:len(rows) - len(lead)], "ascii")
 
 
 def table_text(table, sep: str = ",", lead: str = "") -> str:
@@ -262,6 +293,103 @@ def table_text(table, sep: str = ",", lead: str = "") -> str:
     nrows, ncols = table.shape
     seps = _separators(ncols, sep, lead)
     step = max(1, CHUNK_VALUES // ncols)
-    text = b"".join(_chunk_bytes(table[i:i + step], seps)
-                    for i in range(0, nrows, step))
-    return lead + text[:len(text) - len(lead)].decode("ascii")
+    return "".join(_text(fields(table[i:i + step], seps=seps), lead)
+                   for i in range(0, nrows, step))
+
+
+class GridText:
+    """The CSV rows and the OBJ vertex lines of a grid, a chunk of points
+    at a time, with each distinct value formatted once.
+
+    A CSV row is u, v, x1..x4 and the further columns of a point: u and v
+    are formatted once per grid, with their separators, and copied into
+    the rows.  An OBJ vertex is the projected point; where a projected
+    coordinate has the bits of x1, x2 or x3 (as under the default
+    projection, except on -0.0), its field is copied from the CSV row.
+    """
+
+    def __init__(self, us, vs, csv_columns: int, obj: bool):
+        """``us``, ``vs``: the u and v samples; ``csv_columns``: the CSV's
+        column count, 0 for no CSV; ``obj``: whether to write vertex
+        lines."""
+        self.nv = len(vs)
+        self.obj_seps = _separators(3, " ", "v ") if obj else None
+        self.csv_seps = None
+        if csv_columns:
+            seps = self.csv_seps = _separators(csv_columns, ",", "")
+            self.u_fields = fields(np.array(us), seps=seps[0])
+            self.v_fields = fields(np.array(vs), seps=seps[1])
+        # A chunk holds at most CHUNK_VALUES fields of CSV rows (of
+        # vertices without a CSV).
+        self.step = max(1, CHUNK_VALUES // (csv_columns or 3))
+
+    def chunks(self, first: int, table: np.ndarray, xyz):
+        """The CSV rows and the vertex lines of the grid's points from
+        row-major index ``first`` on, as (rows, vertices) text per chunk of
+        points.  ``table`` holds each point's x1..x4 and further CSV
+        columns, and ``xyz`` its projected vertex; a text that was not
+        asked for is empty."""
+        csv, obj = self.csv_seps is not None, self.obj_seps is not None
+        for i in range(0, len(table), self.step):
+            x = table[i:i + self.step]
+            rows = vertices = ""
+            if csv:
+                line, at = np.divmod(np.arange(first + i, first + i + len(x)),
+                                     self.nv)
+                words = np.empty((len(x), 2 + x.shape[1], _FIELD_WORDS),
+                                 dtype=_WORD)
+                words[:, 0] = self.u_fields.take(line, axis=0)
+                words[:, 1] = self.v_fields.take(at, axis=0)
+                fields(x, words[:, 2:], self.csv_seps[2:])
+            if obj:
+                p = xyz[i:i + self.step]
+                if csv:
+                    vertex = words[:, 2:5].copy()
+                    vertex[..., 5] &= _M32     # the CSV's separators off
+                    vertex[..., 5] |= self.obj_seps
+                    fresh = p.view(np.uint64) != x[:, :3].view(np.uint64)
+                    if fresh.any():
+                        vertex[fresh] = fields(p[fresh], seps=np.broadcast_to(
+                            self.obj_seps, p.shape)[fresh])
+                else:
+                    vertex = fields(p, seps=self.obj_seps)
+                vertices = _text(vertex, "v ")
+            if csv:
+                rows = _text(words, "")
+            yield rows, vertices
+
+
+def int_text(ints, sep: str, lead: str) -> str:
+    """``lead``, the fields of a row as ``'%d'`` writes them joined by
+    ``sep``, and a newline, for each row of a non-empty 2-D array of ints
+    in [0, 10^16).  ``sep`` and ``lead`` are ASCII; ``lead`` has at most
+    three characters."""
+    ints = np.asarray(ints, dtype=np.int64)
+    ndigits = np.searchsorted(_POW10, ints, side="right") + 1
+    groups = (int(ndigits.max()) + 3) // 4
+    # Per int, the digit groups, most significant first, then the
+    # separator: four-byte words, NUL for the leading zeros.
+    words = np.empty(ints.shape + (groups + 1,), dtype="<u4")
+    for j in range(groups):
+        words[..., groups - 1 - j] = _DIGITS4.take(
+            ints // 10 ** (4 * j) % 10 ** 4)
+    digits = words[..., :groups].view(np.uint8)
+    digits &= _DIGIT_MASKS[:, 16 - 4 * groups:].take(ndigits, axis=0)
+    words[..., groups] = np.frombuffer(
+        b"".join(s.encode("ascii").ljust(4, b"\0")
+                 for s in [sep] * (ints.shape[1] - 1) + ["\n" + lead]),
+        dtype="<u4")
+    return _text(words, lead)
+
+
+def face_text(nv: int, first: int, stop: int) -> str:
+    """The OBJ face lines of the grid cells between u lines i and i + 1,
+    for first <= i < stop, on a grid with nv samples per u line.
+
+    The cell at v sample j has the 1-based corners a = i*nv + j + 1,
+    b = a + 1, c = a + nv and d = c + 1, and becomes the triangles
+    (a, b, d) and (a, d, c).
+    """
+    a = np.arange(first, stop)[:, None] * nv + np.arange(1, nv)
+    corners = a[..., None] + np.array([0, 1, nv + 1, 0, nv + 1, nv])
+    return int_text(corners.reshape(-1, 3), " ", "f ")

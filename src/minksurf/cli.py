@@ -108,22 +108,18 @@ def _grid(args) -> GridSpec:
 
 
 def _export(patch, grid, args, positions_only: bool = False) -> None:
-    wrote = False
-    if args.csv:
-        if positions_only:
-            rows = exporters.export_positions_csv(patch, grid, args.csv)
-        else:
-            rows = exporters.export_grid_csv(patch, grid, args.csv)
-        print(f"wrote {rows} rows to {args.csv}", file=sys.stderr)
-        wrote = True
-    if args.obj:
-        projection = (_parse_projection(args.projection)
-                      if args.projection else exporters.DEFAULT_PROJECTION)
-        nv, nf = exporters.export_obj(patch, grid, projection, args.obj)
-        print(f"wrote {nv} vertices, {nf} faces to {args.obj}", file=sys.stderr)
-        wrote = True
-    if not wrote:
+    if not (args.csv or args.obj):
         raise UsageError("nothing to do: pass --csv and/or --obj")
+    projection = (_parse_projection(args.projection)
+                  if args.obj and args.projection
+                  else exporters.DEFAULT_PROJECTION)
+    rows, nv, nf = exporters.export_grid(patch, grid, args.csv or None,
+                                         args.obj or None, projection,
+                                         positions_only)
+    if args.csv:
+        print(f"wrote {rows} rows to {args.csv}", file=sys.stderr)
+    if args.obj:
+        print(f"wrote {nv} vertices, {nf} faces to {args.obj}", file=sys.stderr)
 
 
 def _phi_from_args(args, section, v_range: Interval) -> ProfileCurvePhi:

@@ -2,32 +2,45 @@
 
 All reals are serialized as ``'%.17g'`` writes them (:func:`fmt`): 17
 significant digits, which round-trip binary64 exactly, so identical
-inputs produce byte-identical files.  Every file is written atomically:
-a run that fails leaves no partial file and does not touch a file already
-at the target path.
+inputs produce byte-identical files.
 
-The exporters evaluate the grid in blocks of whole u lines, about
-:data:`BLOCK_POINTS` points each, with one array call of the surface
-engine per block.  The bytes are those of one float call per point, and
-an error names the first failing point in row-major order, as one call
-per point would: a block that fails is evaluated again point by point.
+:func:`export_grid` writes every requested file of an export (the CSV
+table, the OBJ mesh or both) in one pass over the grid, in blocks of
+whole u lines of about :data:`BLOCK_POINTS` points:
+
+* Each block is evaluated once, with one array call of the surface
+  engine (``point_data`` for the invariant table, else
+  ``jet_eval_surface``), and feeds both files.  A patch with a ``check``
+  (a parabolic patch) has its profile inequalities checked on the grid's
+  lines first, through the memos its immersion then reuses.
+* Each distinct value is formatted once (``minksurf._fmt17.GridText``):
+  v once per export, u once per line, and an OBJ vertex field is copied
+  from the CSV's x1..x3 field wherever the projection reproduces that
+  coordinate bit for bit.  The face lines come from a vectorised integer
+  layout, built per block of lines.
+* All or nothing: the files are written to temporaries that replace
+  their targets only after the whole pass succeeds, so a run that fails
+  leaves neither file and does not touch a file already at a target.
+
+The bytes are those of one float call and one ``%`` per point, and an
+error names the first failing point in row-major order, as one call per
+point would: a block that fails is evaluated again point by point.
 Memory grows with the block, not with the grid, apart from the profile
 memos of a parabolic patch (see :func:`~minksurf.meridian.build_parabolic`),
 which hold one entry per block of u lines and one for the v row.
 
-Tables of reals (the CSV rows and the OBJ vertex lines) are written by
-``minksurf._fmt17.table_text``: uint64 numpy passes produce the digits of
-chunks of up to 4096 values, and any value whose rounding they cannot
-certify is formatted with ``'%.17g' %``, so the text is that of ``%`` on
-every field.  That module and its tables are imported on the first write,
-so a run that exports nothing does not pay for them.
+``minksurf._fmt17`` formats reals in uint64 numpy passes over chunks of
+up to 4096 values; any value whose rounding they cannot certify is
+formatted with ``'%.17g' %``, so the text is that of ``%`` on every
+field.  That module and its tables are imported on the first write, so
+a run that exports nothing does not pay for them.
 """
 
 from __future__ import annotations
 
+import errno
 import os
-from contextlib import contextmanager
-from functools import partial
+from contextlib import ExitStack, contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +76,8 @@ def atomic_writer(path: str):
     which ``os.replace`` moves onto ``path`` on success and which is
     removed on failure.
     """
+    if os.path.isdir(path):     # refused before any file is written
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
@@ -78,93 +93,49 @@ def atomic_writer(path: str):
         raise
 
 
-def _table(columns) -> np.ndarray:
-    """Columns of floats or broadcastable arrays as a 2-D table, one row
-    per point in row-major order."""
-    cols = np.broadcast_arrays(*columns)
+def _table(u, v, columns) -> np.ndarray:
+    """Columns of floats or arrays that broadcast with u and v as a 2-D
+    table, one row per point in row-major order."""
+    cols = np.broadcast_arrays(u, v, *columns)[2:]
     return np.stack(cols, axis=-1).reshape(-1, len(cols))
 
 
-def _blocks(grid: GridSpec, evaluate):
-    """``evaluate(U, V)`` per block of whole u lines, in grid order.
+def _blocks(columns: list[np.ndarray], row: np.ndarray, evaluate):
+    """``(U, evaluate(U, row))`` per (k, 1) column U of u samples, in grid
+    order.
 
-    U is a (k, 1) column of u samples and V the (1, nv) row of v samples,
-    so broadcasting yields the block's points in the row-major order of
-    :meth:`GridSpec.points`.  A block that raises an :class:`Error` is
-    evaluated again one float point at a time, so the error raised is the
-    one of the first failing point.
+    ``row`` is the (1, nv) row of v samples, so broadcasting yields each
+    block's points in the row-major order of :meth:`GridSpec.points`.  A
+    block that raises an :class:`Error` is evaluated again one float
+    point at a time, so the error raised is the one of the first failing
+    point.
     """
-    us = grid.u_range.linspace(grid.u_samples)
-    vs = grid.v_range.linspace(grid.v_samples)
-    row = np.array(vs)[None, :]
-    k = max(1, BLOCK_POINTS // len(vs))
-    for i in range(0, len(us), k):
-        lines = us[i:i + k]
+    for lines in columns:
         try:
-            block = evaluate(np.array(lines)[:, None], row)
+            block = evaluate(lines, row)
         except Error:
-            for u in lines:
-                for v in vs:
+            for u in lines.ravel().tolist():
+                for v in row.ravel().tolist():
                     evaluate(u, v)
             raise
-        yield block
-
-
-def _write_tables(fh, tables, sep: str = ",", lead: str = "") -> int:
-    """Write each row of each table as ``lead``, its fields as :func:`fmt`
-    writes them joined by ``sep``, and a newline; returns the number of
-    rows."""
-    from ._fmt17 import table_text     # its tables are built on first use
-    rows = 0
-    for table in tables:
-        fh.write(table_text(table, sep, lead))
-        rows += len(table)
-    return rows
+        yield lines, block
 
 
 def write_csv(path: str, header: str, tables) -> int:
     """Write ``header`` and the rows of each 2-D table of reals to a CSV
     file, atomically; returns the number of data rows."""
+    from ._fmt17 import table_text     # its tables are built on first use
+    rows = 0
     with atomic_writer(path) as fh:
         fh.write(header + "\n")
-        return _write_tables(fh, tables)
+        for table in tables:
+            fh.write(table_text(table))
+            rows += len(table)
+    return rows
 
 
-def _positions(patch: SurfacePatch, u, v) -> np.ndarray:
-    """The (u, v, x1..x4) table of a point or a block of points."""
-    return _table((u, v, *jet_eval_surface(patch, u, v).value().coords()))
-
-
-def export_grid_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
-    """Write the full invariant table, one row per grid point.
-
-    Rows are in row-major order (u outer, v inner).  H1..H4 are the
-    orthonormal coordinates of the mean curvature vector; HdotH is its
-    self inner product.  Returns the number of data rows.
-    """
-    def evaluate(u, v):
-        p = point_data(patch, u, v)
-        return _table((u, v, *p.z.coords(), p.E, p.F, p.G, p.L, p.M, p.N,
-                       p.k, p.kappa_normal, p.K, *p.H.coords(),
-                       p.h_dot_h()))
-
-    return write_csv(path, CSV_HEADER, _blocks(grid, evaluate))
-
-
-def export_positions_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
-    """Write sampled positions only (u, v, x1..x4); returns the row count."""
-    return write_csv(path, POSITIONS_HEADER,
-                      _blocks(grid, partial(_positions, patch)))
-
-
-def export_obj(patch: SurfacePatch, grid: GridSpec,
-               projection: Sequence[Sequence[float]] = DEFAULT_PROJECTION,
-               path: str = "surface.obj") -> tuple[int, int]:
-    """Project samples to 3-space and write a triangulated `v`/`f` mesh.
-
-    The projection is a full-rank 3x4 matrix (default: drop x4).  Each
-    grid cell becomes two triangles; returns (vertex count, face count).
-    """
+def _projection(projection: Sequence[Sequence[float]]) -> np.ndarray:
+    """The projection as a 3x4 array, checked to have rank 3."""
     proj = np.asarray(projection, dtype=float)
     if proj.shape != (3, 4):
         raise SingularProjection(f"projection must be 3x4, got {proj.shape}")
@@ -172,29 +143,99 @@ def export_obj(patch: SurfacePatch, grid: GridSpec,
     if not sv[2] > 1e-12 * sv[0]:
         raise SingularProjection(
             f"projection matrix has rank < 3 (singular values {sv})")
+    return proj
 
-    def evaluate(u, v):
-        table = _positions(patch, u, v)
-        # One 3x4 by 4x1 product per vertex, stacked: the bits of
-        # ``proj @ z`` for each vertex z.
-        xyz = (proj @ table[:, 2:, None])[:, :, 0]
-        bad = first_failure(~np.isfinite(xyz).all(axis=1),
-                            table[:, 0], table[:, 1])
-        if bad:
-            raise SingularProjection(
-                "non-finite projected vertex at (u,v)=({},{})".format(*bad))
-        return xyz
 
-    nu, nv = grid.u_samples, grid.v_samples
-    # The cell between u lines i, i + 1 and v samples j, j + 1 has the
-    # 1-based corners a = i*nv + j + 1, b = a + 1, c = a + nv, d = c + 1
-    # and becomes the triangles (a, b, d) and (a, d, c).
-    a = np.arange(1, nv)
-    first_line = np.stack([a, a + 1, a + nv + 1, a, a + nv + 1, a + nv],
-                          axis=1).ravel()
-    faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
-    with atomic_writer(path) as fh:
-        _write_tables(fh, _blocks(grid, evaluate), " ", "v ")
-        for i in range(nu - 1):
-            fh.write(faces % tuple((first_line + i * nv).tolist()))
-    return nu * nv, 2 * (nu - 1) * (nv - 1)
+def export_grid(patch: SurfacePatch, grid: GridSpec, csv: str | None = None,
+                obj: str | None = None,
+                projection: Sequence[Sequence[float]] = DEFAULT_PROJECTION,
+                positions_only: bool = False) -> tuple[int, int, int]:
+    """Write the grid's CSV table, its OBJ mesh or both, in one pass.
+
+    The CSV has one row per grid point in row-major order (u outer, v
+    inner): u, v, x1..x4 and, unless ``positions_only``, the invariants
+    of :data:`CSV_HEADER`; H1..H4 are the orthonormal coordinates of the
+    mean curvature vector and HdotH its self inner product.  The OBJ
+    projects each point to 3-space with ``projection``, a full-rank 3x4
+    matrix (default: drop x4), and splits each grid cell into two
+    triangles.  The files replace their targets only after the whole
+    pass has succeeded.  Returns (rows, vertices, faces).
+    """
+    from ._fmt17 import GridText, face_text     # built on first use
+    proj = _projection(projection) if obj else None
+    us = grid.u_range.linspace(grid.u_samples)
+    vs = grid.v_range.linspace(grid.v_samples)
+    nu, nv = len(us), len(vs)
+    # Blocks of k = max(1, BLOCK_POINTS // nv) whole u lines.
+    k = max(1, BLOCK_POINTS // nv)
+    columns = [np.array(us[i:i + k])[:, None] for i in range(0, nu, k)]
+    row = np.array(vs)[None, :]
+    header = POSITIONS_HEADER if positions_only else CSV_HEADER
+
+    if csv and not positions_only:
+        def evaluate(u, v):
+            p = point_data(patch, u, v)
+            return _table(u, v, (*p.z.coords(), p.E, p.F, p.G, p.L, p.M,
+                                 p.N, p.k, p.kappa_normal, p.K,
+                                 *p.H.coords(), p.h_dot_h()))
+    else:
+        def evaluate(u, v):
+            return _table(u, v,
+                          jet_eval_surface(patch, u, v).value().coords())
+
+    with ExitStack() as files:
+        csv_fh = csv and files.enter_context(atomic_writer(csv))
+        obj_fh = obj and files.enter_context(atomic_writer(obj))
+        if patch.check is not None:
+            patch.check(columns, row)
+        if csv_fh:
+            csv_fh.write(header + "\n")
+        text = GridText(us, vs, len(header.split(",")) if csv else 0,
+                        bool(obj))
+        xyz = None
+        for b, (lines, table) in enumerate(_blocks(columns, row, evaluate)):
+            if obj:
+                # One 3x4 by 4x1 product per vertex, stacked: the bits of
+                # ``proj @ z`` for each vertex z.  An overflow is reported
+                # below as a non-finite vertex.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    xyz = (proj @ table[:, :4, None])[:, :, 0]
+                bad = first_failure(
+                    ~np.isfinite(xyz).all(axis=1).reshape(len(lines), nv),
+                    lines, row)
+                if bad:
+                    raise SingularProjection(
+                        "non-finite projected vertex at (u,v)=({},{})"
+                        .format(*bad))
+            for rows, vertices in text.chunks(b * k * nv, table, xyz):
+                if csv_fh:
+                    csv_fh.write(rows)
+                if obj_fh:
+                    obj_fh.write(vertices)
+        if obj_fh:
+            for i in range(0, nu - 1, k):
+                obj_fh.write(face_text(nv, i, min(i + k, nu - 1)))
+        # A failing flush then leaves neither file, not just its own.
+        for fh in (csv_fh, obj_fh):
+            if fh:
+                fh.flush()
+    return nu * nv, nu * nv, 2 * (nu - 1) * (nv - 1)
+
+
+def export_grid_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
+    """Write the full invariant table (see :func:`export_grid`); returns
+    the number of data rows."""
+    return export_grid(patch, grid, csv=path)[0]
+
+
+def export_positions_csv(patch: SurfacePatch, grid: GridSpec, path: str) -> int:
+    """Write sampled positions only (u, v, x1..x4); returns the row count."""
+    return export_grid(patch, grid, csv=path, positions_only=True)[0]
+
+
+def export_obj(patch: SurfacePatch, grid: GridSpec,
+               projection: Sequence[Sequence[float]] = DEFAULT_PROJECTION,
+               path: str = "surface.obj") -> tuple[int, int]:
+    """Write the triangulated `v`/`f` mesh (see :func:`export_grid`);
+    returns (vertex count, face count)."""
+    return export_grid(patch, grid, obj=path, projection=projection)[1:]

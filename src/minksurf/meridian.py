@@ -28,12 +28,13 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Hashable, Optional
 
 import numpy as np
 
 from . import jets
-from .errors import AdmissibilityError, CurvatureMismatch, ParamError
+from .errors import AdmissibilityError, CurvatureMismatch, Error, ParamError
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
 from .minkowski import (XI1, NullFrameCoords, Vec4M, elementary,
                         first_failure, from_null_frame)
@@ -189,6 +190,39 @@ def _line_memo(evaluate: Callable[[Jet2], tuple]) -> Callable[[Jet2], tuple]:
     return line
 
 
+def _admissible_u(line, u) -> None:
+    """f > 0, then -f'*g' > 0, at u: a float or a (k, 1) column."""
+    fj, gj = line(Jet2.seed_u(u))
+    _positive("f > 0", fj.val, "u", u)
+    _meridian_e(fj, gj, u)
+
+
+def _admissible_v(line, v) -> None:
+    """phi'^2 + phi^2 > 0 at v: a float or a (1, n) row."""
+    _phi_q(line(Jet2.seed_v(v))[0], v)
+
+
+def _check_lines(u_line, v_line, columns: list, row: np.ndarray) -> None:
+    """The profile inequalities at the u samples of each (k, 1) column, in
+    order, then at the v samples of the (1, n) row, through the profile
+    memos ``u_line`` and ``v_line``: one array pass per column and one for
+    the row, whose jets the patch's immersion then reuses.
+
+    An error names the first failing sample, f > 0 before -f'*g' at each
+    u: an array pass that fails is checked again one float at a time.
+    Overflow gives inf or NaN, which fail.
+    """
+    for check, line, x in ([(_admissible_u, u_line, c) for c in columns]
+                           + [(_admissible_v, v_line, row)]):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                check(line, x)
+        except Error:
+            for s in x.ravel().tolist():
+                check(line, s)
+            raise
+
+
 def _profile_lines(fp: ProfilePair, phi: ProfileCurvePhi):
     """Memos of (f, g) per u jet and of (phi, cos v, sin v) per v jet.
 
@@ -245,8 +279,9 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi) -> SurfacePatch:
     The profile inequalities are checked on a sample grid up front;
     violations raise :class:`AdmissibilityError` naming the inequality and
     the offending parameter value.  The resulting patch carries the
-    family-adapted normal frame and its profiles ``(fp, phi)``.  The
-    immersion and the frame share one memo of profile jets per u jet and
+    family-adapted normal frame, its profiles ``(fp, phi)`` and a
+    ``check`` of the inequalities on the lines of a grid.  The immersion,
+    the frame and the check share one memo of profile jets per u jet and
     per v jet, so an nu x nv grid evaluates f and g on nu values and phi
     on nv values, whether point by point or in blocks of whole u lines.
     """
@@ -274,6 +309,7 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi) -> SurfacePatch:
         domain=Rect(fp.domain, phi.domain),
         frame=parabolic_normal_frame(fp, phi, _lines=(u_line, v_line)),
         profiles=(fp, phi),
+        check=partial(_check_lines, u_line, v_line),
     )
 
 

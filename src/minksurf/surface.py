@@ -133,13 +133,18 @@ class SurfacePatch:
     (:func:`~minksurf.meridian.build_parabolic`), and None for a generic
     patch; the certificates of :mod:`minksurf.verify` that compare with
     the parabolic closed forms read the profiles from it and reject a
-    generic patch.
+    generic patch.  ``check``, when present, checks the patch's
+    admissibility on the lines of a grid before they are evaluated: it
+    takes a list of (k, 1) columns of u and a (1, n) row of v, and raises
+    an :class:`~minksurf.errors.Error` that names the first failing
+    sample.
     """
 
     immersion: Callable[[Jet2, Jet2], Jet2Vec4]
     domain: Rect
     frame: Optional[FrameFn] = None
     profiles: Optional[tuple[ProfilePair, ProfileCurvePhi]] = None
+    check: Optional[Callable[[list, np.ndarray], None]] = None
 
 
 def jet_eval_surface(patch: SurfacePatch, u: float, v: float) -> Jet2Vec4:

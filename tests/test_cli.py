@@ -528,8 +528,8 @@ class TestPerLineMemoOutput:
 class TestAtomicOutput:
     """A failing run leaves no partial file and no temporary file."""
 
-    # Admissible at the 41 samples build_parabolic checks, but not
-    # spacelike between them.
+    # Admissible at the 41 samples build_parabolic checks, but not at the
+    # grid's u samples, which the export checks before it evaluates.
     REPRODUCER = ["invariants", "--f-expr", "2 + 0.001*sin(167.55*(u-0.5))",
                   "--g-expr=-u", "--phi-expr", "2",
                   "--u", "0.5:2:200", "--v", "0:6.283:5"]
@@ -537,8 +537,8 @@ class TestAtomicOutput:
     def test_failed_export_leaves_no_file(self, tmp_path, capsys):
         out = tmp_path / "q.csv"
         assert run_cli(self.REPRODUCER + ["--csv", str(out)]) == 2
-        assert ("not spacelike at (u,v)=(0.5150753768844221,0.0)"
-                in capsys.readouterr().err)
+        assert (capsys.readouterr().err
+                == "error: -f'*g' > 0 violated at u = 0.5150753768844221\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_export_keeps_an_existing_file(self, tmp_path):

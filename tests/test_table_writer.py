@@ -110,6 +110,26 @@ def test_fields_rows_and_leads():
             == "v 1 -0.5 9.9999999999999995e-08\nv 0 -0 123456.789\n")
 
 
+def test_int_layout_across_digit_boundaries():
+    edges = [10 ** k + d for k in range(16) for d in (-1, 0, 1)]
+    ints = np.array([0, 1, 9, *edges, 10 ** 16 - 1]).reshape(-1, 1)
+    for row in (ints, ints[:51].reshape(-1, 3)):
+        want = "".join("f " + " ".join("%d" % i for i in r) + "\n"
+                       for r in row.tolist())
+        assert _fmt17.int_text(row, " ", "f ") == want
+    # Each array is laid out with the digit groups of its widest int.
+    small = np.array([[7, 9999, 10000]])
+    assert _fmt17.int_text(small, ",", "") == "7,9999,10000\n"
+
+
+def test_face_text_is_the_grid_triangulation():
+    nv = 4
+    want = "".join(f"f {a} {a + 1} {a + nv + 1}\nf {a} {a + nv + 1} {a + nv}\n"
+                   for i in range(2, 5) for a in range(i * nv + 1,
+                                                       i * nv + nv))
+    assert _fmt17.face_text(nv, 2, 5) == want
+
+
 AMBIGUOUS = [
     1000000000000000.25,    # exact ties, with an exact cached power
     1000000000000000.75,
