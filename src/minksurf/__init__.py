@@ -19,10 +19,10 @@ from .jets import Jet2, Jet2Vec4, vec_from_null_jets
 from .surface import (GridSpec, Interval, PointData, Rect, SurfacePatch,
                       is_marginally_trapped, jet_eval_surface, normal_frame,
                       point_data, point_data_from_derivatives)
-from .meridian import (ClosedForms, MTFamilyParams, PlaneSection,
+from .meridian import (ClosedForms, LineJets, MTFamilyParams, PlaneSection,
                        ProfileCurvePhi, ProfilePair, RootBranch, SignBranch,
-                       build_parabolic, kappa_bar, kappa_m, meridian_plane,
-                       mt_cone_patch, mt_general_gprime,
+                       build_parabolic, kappa_bar, kappa_m, line_jets,
+                       meridian_plane, mt_cone_patch, mt_general_gprime,
                        mt_general_profile, parabolic_closed_forms,
                        parabolic_normal_frame, paraboloid_point,
                        plane_section_curvature, plane_section_phi,

@@ -8,11 +8,13 @@ inputs produce byte-identical files.
 table, the OBJ mesh or both) in one pass over the grid, in blocks of
 whole u lines of about :data:`BLOCK_POINTS` points:
 
+* The line jets of a parabolic patch (``SurfacePatch.lines``) are
+  evaluated once per export, on the column of all u samples and the row
+  of v samples, and the profile inequalities are checked on them first.
 * Each block is evaluated once, with one array call of the surface
   engine (``point_data`` for the invariant table, else
-  ``jet_eval_surface``), and feeds both files.  A patch with a ``check``
-  (a parabolic patch) has its profile inequalities checked on the grid's
-  lines first, through the memos its immersion then reuses.
+  ``jet_eval_surface``) on the block's rows of those line jets, and
+  feeds both files.
 * Each distinct value is formatted once (``minksurf._fmt17.GridText``):
   v once per export, u once per line, and an OBJ vertex field is copied
   from the CSV's x1..x3 field wherever the projection reproduces that
@@ -25,9 +27,8 @@ whole u lines of about :data:`BLOCK_POINTS` points:
 The bytes are those of one float call and one ``%`` per point, and an
 error names the first failing point in row-major order, as one call per
 point would: a block that fails is evaluated again point by point.
-Memory grows with the block, not with the grid, apart from the profile
-memos of a parabolic patch (see :func:`~minksurf.meridian.build_parabolic`),
-which hold one entry per block of u lines and one for the v row.
+Memory grows with the block, not with the grid, apart from the line jets,
+which grow with nu + nv.
 
 ``minksurf._fmt17`` formats reals in uint64 numpy passes over chunks of
 up to 4096 values; any value whose rounding they cannot certify is
@@ -100,25 +101,27 @@ def _table(u, v, columns) -> np.ndarray:
     return np.stack(cols, axis=-1).reshape(-1, len(cols))
 
 
-def _blocks(columns: list[np.ndarray], row: np.ndarray, evaluate):
-    """``(U, evaluate(U, row))`` per (k, 1) column U of u samples, in grid
-    order.
-
-    ``row`` is the (1, nv) row of v samples, so broadcasting yields each
-    block's points in the row-major order of :meth:`GridSpec.points`.  A
-    block that raises an :class:`Error` is evaluated again one float
-    point at a time, so the error raised is the one of the first failing
-    point.
+def _blocks(us: np.ndarray, row: np.ndarray, k: int, lines, evaluate):
+    """``(U, evaluate(U, row, L))`` per block U of k rows of the (nu, 1)
+    column ``us`` of u samples, in grid order, with L the block's rows of
+    the grid's line jets ``lines`` (None for a generic patch).  Broadcast
+    with the (1, nv) row of v samples, U gives the block's points in
+    row-major order.  A block that raises an :class:`Error` is evaluated
+    again one float point at a time, so the error raised is the one of
+    the first failing point.
     """
-    for lines in columns:
+    for i in range(0, len(us), k):
+        block_us = us[i:i + k]
         try:
-            block = evaluate(lines, row)
+            block = evaluate(block_us, row,
+                             None if lines is None
+                             else lines.u_rows(slice(i, i + k)))
         except Error:
-            for u in lines.ravel().tolist():
+            for u in block_us.ravel().tolist():
                 for v in row.ravel().tolist():
                     evaluate(u, v)
             raise
-        yield lines, block
+        yield block_us, block
 
 
 def write_csv(path: str, header: str, tables) -> int:
@@ -163,37 +166,35 @@ def export_grid(patch: SurfacePatch, grid: GridSpec, csv: str | None = None,
     """
     from ._fmt17 import GridText, face_text     # built on first use
     proj = _projection(projection) if obj else None
-    us = grid.u_range.linspace(grid.u_samples)
-    vs = grid.v_range.linspace(grid.v_samples)
-    nu, nv = len(us), len(vs)
+    us, row = grid.lines()
+    nu, nv = us.size, row.size
     # Blocks of k = max(1, BLOCK_POINTS // nv) whole u lines.
     k = max(1, BLOCK_POINTS // nv)
-    columns = [np.array(us[i:i + k])[:, None] for i in range(0, nu, k)]
-    row = np.array(vs)[None, :]
     header = POSITIONS_HEADER if positions_only else CSV_HEADER
 
     if csv and not positions_only:
-        def evaluate(u, v):
-            p = point_data(patch, u, v)
+        def evaluate(u, v, lines=None):
+            p = point_data(patch, u, v, lines=lines)
             return _table(u, v, (*p.z.coords(), p.E, p.F, p.G, p.L, p.M,
                                  p.N, p.k, p.kappa_normal, p.K,
                                  *p.H.coords(), p.h_dot_h()))
     else:
-        def evaluate(u, v):
-            return _table(u, v,
-                          jet_eval_surface(patch, u, v).value().coords())
+        def evaluate(u, v, lines=None):
+            z = jet_eval_surface(patch, u, v, lines=lines).value()
+            return _table(u, v, z.coords())
 
     with ExitStack() as files:
         csv_fh = csv and files.enter_context(atomic_writer(csv))
         obj_fh = obj and files.enter_context(atomic_writer(obj))
-        if patch.check is not None:
-            patch.check(columns, row)
+        # The profile jets of every u line and of the v row, checked.
+        lines = None if patch.lines is None else patch.lines(us, row)
         if csv_fh:
             csv_fh.write(header + "\n")
-        text = GridText(us, vs, len(header.split(",")) if csv else 0,
-                        bool(obj))
+        text = GridText(us.ravel(), row.ravel(),
+                        len(header.split(",")) if csv else 0, bool(obj))
         xyz = None
-        for b, (lines, table) in enumerate(_blocks(columns, row, evaluate)):
+        for b, (block_us, table) in enumerate(
+                _blocks(us, row, k, lines, evaluate)):
             if obj:
                 # One 3x4 by 4x1 product per vertex, stacked: the bits of
                 # ``proj @ z`` for each vertex z.  An overflow is reported
@@ -201,8 +202,8 @@ def export_grid(patch: SurfacePatch, grid: GridSpec, csv: str | None = None,
                 with np.errstate(over="ignore", invalid="ignore"):
                     xyz = (proj @ table[:, :4, None])[:, :, 0]
                 bad = first_failure(
-                    ~np.isfinite(xyz).all(axis=1).reshape(len(lines), nv),
-                    lines, row)
+                    ~np.isfinite(xyz).all(axis=1).reshape(len(block_us), nv),
+                    block_us, row)
                 if bad:
                     raise SingularProjection(
                         "non-finite projected vertex at (u,v)=({},{})"

@@ -36,7 +36,7 @@ class Jet2:
     """Value and partial derivatives (du, dv, duu, duv, dvv) at a point.
 
     Never modified after construction, so one jet may be shared: the
-    per-line profile memos hand the same jets to immersion and frame.
+    line jets of a parabolic patch feed both its immersion and its frame.
     Not frozen, because frozen construction dominated the one-point cost.
     """
 

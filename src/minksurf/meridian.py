@@ -17,19 +17,18 @@ paraboloid that carries every generating curve, and its
 constant-curvature plane sections.
 
 Profile functions are callables on :class:`~minksurf.jets.Jet2` values, so
-every geometric quantity below is differentiated exactly.  The adapted
-frame, kappa_m, kappa_bar and the closed forms take u and v as floats or
+every geometric quantity below is differentiated exactly.  The line
+jets, kappa_m, kappa_bar and the closed forms take u and v as floats or
 as arrays that broadcast together, like the surface engine.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Hashable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -132,128 +131,93 @@ def _kappa_bar(pj: Jet2, q: float) -> float:
 # the parabolic meridian surface
 # ---------------------------------------------------------------------------
 
-_SLOTS = struct.Struct("6d")
-_FLOAT = struct.Struct("d")
 _CHECK_SAMPLES = 41
 
 
-def _slot_key(s) -> Optional[Hashable]:
-    if type(s) is float:
-        return _FLOAT.pack(s)
-    if type(s) is np.ndarray and s.dtype == np.float64:
-        return s.shape, s.tobytes()
-    return None
-
-
-def _line_key(j: Jet2) -> Optional[Hashable]:
-    """The exact bits of a jet's six slots, with the shape of each array
-    slot; None unless the jet is of one point or of a block of lines.
-
-    A block of lines is a (k, 1) column of u or a (1, n) row of v, as the
-    exporters pass them.  A flat array of points is not keyed: its entry
-    would hold the jets of a whole grid.  Bits rather than values, so
-    +0.0 and -0.0 stay apart; only exact floats and float64 arrays,
-    because an int or a numpy scalar with the same value can round
-    differently inside a profile.
+@dataclass(frozen=True, slots=True)
+class LineJets:
+    """The profile jets of a parabolic patch on the lines through its
+    points: f and g at u, and phi, cos v and sin v at v.  f and g depend on
+    u alone and phi on v alone, so on a grid, with u a (k, 1) column and v
+    a (1, n) row, each is evaluated once per line.
     """
-    val = j.val
-    slots = (val, j.du, j.dv, j.duu, j.duv, j.dvv)
-    if type(val) is float:      # the common case of one point
-        for s in slots:
-            if type(s) is not float:
-                return None
-        return _SLOTS.pack(*slots)
-    if type(val) is np.ndarray and not (val.ndim == 2 and 1 in val.shape):
-        return None
-    keys = tuple(map(_slot_key, slots))
-    return None if None in keys else keys
+
+    f: Jet2
+    g: Jet2
+    phi: Jet2
+    cos: Jet2
+    sin: Jet2
+
+    def immersion(self) -> Jet2Vec4:
+        """The jets of z(u, v) (see the module docstring)."""
+        f, phi = self.f, self.phi
+        fphi = f * phi
+        return vec_from_null_jets(fphi * self.cos, fphi * self.sin,
+                                  f * (phi * phi) * 0.5 + self.g, f)
+
+    def u_rows(self, rows: slice) -> "LineJets":
+        """The jets of the u samples ``rows`` of a column.  A profile may
+        return float slots (:meth:`Jet2.constant`), so only array slots
+        are sliced."""
+        f, g = (Jet2(*(s[rows] if isinstance(s, np.ndarray) else s
+                       for s in (j.val, j.du, j.dv, j.duu, j.duv, j.dvv)))
+                for j in (self.f, self.g))
+        return replace(self, f=f, g=g)
 
 
-def _line_memo(evaluate: Callable[[Jet2], tuple]) -> Callable[[Jet2], tuple]:
-    """``evaluate`` with its results kept per jet.
-
-    A jet is looked up by its exact bits, so the memo holds one entry per
-    distinct jet asked for: per grid line for one-point jets, and per
-    block of lines for array jets.
-    """
-    hits: dict = {}
-
-    def line(j: Jet2) -> tuple:
-        key = _line_key(j)
-        hit = hits.get(key)
-        if hit is None:
-            hit = evaluate(j)
-            if key is not None:
-                hits[key] = hit
-        return hit
-
-    return line
-
-
-def _admissible_u(line, u) -> None:
-    """f > 0, then -f'*g' > 0, at u: a float or a (k, 1) column."""
-    fj, gj = line(Jet2.seed_u(u))
+def _u_jets(fp: ProfilePair, u) -> tuple[Jet2, Jet2]:
+    """f and g at u, checked for f > 0, then for -f'*g' > 0."""
+    fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)
     _positive("f > 0", fj.val, "u", u)
     _meridian_e(fj, gj, u)
+    return fj, gj
 
 
-def _admissible_v(line, v) -> None:
-    """phi'^2 + phi^2 > 0 at v: a float or a (1, n) row."""
-    _phi_q(line(Jet2.seed_v(v))[0], v)
+def _v_jets(phi: ProfileCurvePhi, v) -> tuple[Jet2, Jet2, Jet2]:
+    """phi, cos v and sin v at v, checked for phi'^2 + phi^2 > 0."""
+    jv = Jet2.seed_v(v)
+    pj = phi.phi(jv)
+    _phi_q(pj, v)
+    return pj, jets.cos(jv), jets.sin(jv)
 
 
-def _check_lines(u_line, v_line, columns: list, row: np.ndarray) -> None:
-    """The profile inequalities at the u samples of each (k, 1) column, in
-    order, then at the v samples of the (1, n) row, through the profile
-    memos ``u_line`` and ``v_line``: one array pass per column and one for
-    the row, whose jets the patch's immersion then reuses.
-
-    An error names the first failing sample, f > 0 before -f'*g' at each
-    u: an array pass that fails is checked again one float at a time.
-    Overflow gives inf or NaN, which fail.
-    """
-    for check, line, x in ([(_admissible_u, u_line, c) for c in columns]
-                           + [(_admissible_v, v_line, row)]):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                check(line, x)
-        except Error:
-            for s in x.ravel().tolist():
-                check(line, s)
-            raise
+def _first_failing_sample(evaluate, profile, x) -> tuple:
+    """``evaluate(profile, x)`` in one pass.  A pass that fails is run
+    again one sample at a time, so the error names the first failing
+    sample.  Overflow gives inf or NaN, which fail."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return evaluate(profile, x)
+    except Error:
+        for s in np.ravel(x).tolist():
+            evaluate(profile, s)
+        raise
 
 
-def _profile_lines(fp: ProfilePair, phi: ProfileCurvePhi):
-    """Memos of (f, g) per u jet and of (phi, cos v, sin v) per v jet.
-
-    f and g depend on u alone and phi on v alone, so the profile jets of
-    a grid point are those of its u line and of its v line.
-    """
-    return (_line_memo(lambda ju: (fp.f(ju), fp.g(ju))),
-            _line_memo(lambda jv: (phi.phi(jv), jets.cos(jv), jets.sin(jv))))
+def line_jets(fp: ProfilePair, phi: ProfileCurvePhi, u, v) -> LineJets:
+    """The profile jets of the u lines and v lines through (u, v), with
+    the profile inequalities checked on them: at every u sample (f > 0
+    before -f'*g' > 0 at each), then at every v sample."""
+    return LineJets(*_first_failing_sample(_u_jets, fp, u),
+                    *_first_failing_sample(_v_jets, phi, v))
 
 
-def parabolic_normal_frame(fp: ProfilePair, phi: ProfileCurvePhi,
-                           _lines=None):
-    """The family-adapted orthonormal normal frame of the parabolic surface.
+def parabolic_normal_frame():
+    """The family-adapted orthonormal normal frame of the parabolic
+    surface, as a function of its checked :class:`LineJets`.
 
     In this frame the second fundamental form degenerates (L = N = 0) and
     the closed-form invariants take their reduced shape.  It satisfies the
     same orientation conventions as the canonical frame: positively
-    oriented with the tangents, n2 future-pointing.
-
-    :func:`build_parabolic` passes the patch's profile memos as ``_lines``,
-    so the frame reuses the jets its immersion evaluated at the point.
+    oriented with the tangents, n2 future-pointing.  A factory, so that
+    ``perfbench/spans.py`` can time the frame of every patch it builds.
     """
-    u_line, v_line = _lines or _profile_lines(fp, phi)
 
-    def frame(u: float, v: float) -> tuple[Vec4M, Vec4M]:
-        fj, gj = u_line(Jet2.seed_u(u))
-        pj, cvj, svj = v_line(Jet2.seed_v(v))
-        _meridian_e(fj, gj, u)
-        q = _phi_q(pj, v)
-        ops = elementary(u, v)
-        sv, cv = svj.val, cvj.val
+    def frame(lines: LineJets) -> tuple[Vec4M, Vec4M]:
+        fj, gj, pj = lines.f, lines.g, lines.phi
+        sv, cv = lines.sin.val, lines.cos.val
+        q = pj.dv * pj.dv + pj.val * pj.val
+        ops = elementary(fj.du, gj.du, q)
         # Flipping n1 with the sign of f' keeps {z_u, z_v, n1, n2}
         # positively oriented on both admissibility branches.
         r = ops.copysign(1.0, fj.du) / ops.sqrt(q)
@@ -278,38 +242,26 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi) -> SurfacePatch:
 
     The profile inequalities are checked on a sample grid up front;
     violations raise :class:`AdmissibilityError` naming the inequality and
-    the offending parameter value.  The resulting patch carries the
-    family-adapted normal frame, its profiles ``(fp, phi)`` and a
-    ``check`` of the inequalities on the lines of a grid.  The immersion,
-    the frame and the check share one memo of profile jets per u jet and
-    per v jet, so an nu x nv grid evaluates f and g on nu values and phi
-    on nv values, whether point by point or in blocks of whole u lines.
+    the offending parameter value.  The resulting patch carries its
+    profiles ``(fp, phi)``, its :func:`line_jets`, from which the surface
+    engine builds the immersion jets, and the family-adapted normal frame
+    of those jets; ``immersion`` takes jets of any parametrisation.
     """
     for u in fp.domain.linspace(_CHECK_SAMPLES):
-        fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)
-        _positive("f > 0", fj.val, "u", u)     # f > 0 first at each sample
-        _meridian_e(fj, gj, u)
+        _u_jets(fp, u)
     for v in phi.domain.linspace(_CHECK_SAMPLES):
         _phi_q(profile_v(phi.phi, v), v)
-    u_line, v_line = _profile_lines(fp, phi)
 
     def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
-        fj, gj = u_line(ju)
-        pj, cv, sv = v_line(jv)
-        fphi = fj * pj
-        return vec_from_null_jets(
-            fphi * cv,
-            fphi * sv,
-            fj * (pj * pj) * 0.5 + gj,
-            fj,
-        )
+        return LineJets(fp.f(ju), fp.g(ju), phi.phi(jv), jets.cos(jv),
+                        jets.sin(jv)).immersion()
 
     return SurfacePatch(
         immersion=immersion,
         domain=Rect(fp.domain, phi.domain),
-        frame=parabolic_normal_frame(fp, phi, _lines=(u_line, v_line)),
+        frame=parabolic_normal_frame(),
         profiles=(fp, phi),
-        check=partial(_check_lines, u_line, v_line),
+        lines=partial(line_jets, fp, phi),
     )
 
 

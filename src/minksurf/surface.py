@@ -41,7 +41,7 @@ from .minkowski import (E4, ZERO, CausalCharacter, Vec4M, causal_character,
                         elementary, first_failure, inner)
 
 if TYPE_CHECKING:
-    from .meridian import ProfileCurvePhi, ProfilePair
+    from .meridian import LineJets, ProfileCurvePhi, ProfilePair
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,11 +104,12 @@ class GridSpec:
             for v in self.v_range.linspace(self.v_samples):
                 yield u, v
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """The points of :meth:`points` as flat U, V arrays, same order."""
-        us = np.array(self.u_range.linspace(self.u_samples))
-        vs = np.array(self.v_range.linspace(self.v_samples))
-        return np.repeat(us, self.v_samples), np.tile(vs, self.u_samples)
+    def lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """The u samples as a (nu, 1) column and the v samples as a
+        (1, nv) row.  Broadcast together they are the points of
+        :meth:`points`, in its row-major order."""
+        return (np.array(self.u_range.linspace(self.u_samples))[:, None],
+                np.array(self.v_range.linspace(self.v_samples))[None, :])
 
     @staticmethod
     def for_patch(patch: "SurfacePatch", nu: int, nv: int) -> "GridSpec":
@@ -118,44 +119,49 @@ class GridSpec:
                         Interval(*patch.domain.v.linspace(2, inset=0.02)))
 
 
-FrameFn = Callable[[float, float], tuple[Vec4M, Vec4M]]
-
-
 @dataclass(frozen=True)
 class SurfacePatch:
     """An immersion over a rectangle, evaluable in jet arithmetic.
 
     ``immersion`` receives jets seeded in u and v and returns the four
-    coordinate jets.  ``frame``, when present, is the family's preferred
-    normal frame of (u, v); :func:`point_data` uses it instead of the
-    canonical construction.  ``profiles`` is the (ProfilePair,
-    ProfileCurvePhi) pair a parabolic meridian patch was built from
-    (:func:`~minksurf.meridian.build_parabolic`), and None for a generic
-    patch; the certificates of :mod:`minksurf.verify` that compare with
-    the parabolic closed forms read the profiles from it and reject a
-    generic patch.  ``check``, when present, checks the patch's
-    admissibility on the lines of a grid before they are evaluated: it
-    takes a list of (k, 1) columns of u and a (1, n) row of v, and raises
-    an :class:`~minksurf.errors.Error` that names the first failing
-    sample.
+    coordinate jets.  A parabolic meridian patch
+    (:func:`~minksurf.meridian.build_parabolic`) also has ``lines``, the
+    checked profile jets of the lines through (u, v)
+    (:func:`~minksurf.meridian.line_jets`), from which the engine builds
+    its immersion jets; ``frame``, its adapted normal frame as a function
+    of those jets, which :func:`point_data` uses instead of the canonical
+    one; and ``profiles``, the (ProfilePair, ProfileCurvePhi) it was built
+    from, which the certificates of :mod:`minksurf.verify` that compare
+    with the closed forms read.  A generic patch has none of the three.
     """
 
     immersion: Callable[[Jet2, Jet2], Jet2Vec4]
     domain: Rect
-    frame: Optional[FrameFn] = None
+    frame: Optional[Callable[[LineJets], tuple[Vec4M, Vec4M]]] = None
     profiles: Optional[tuple[ProfilePair, ProfileCurvePhi]] = None
-    check: Optional[Callable[[list, np.ndarray], None]] = None
+    lines: Optional[Callable[[float, float], LineJets]] = None
 
 
-def jet_eval_surface(patch: SurfacePatch, u: float, v: float) -> Jet2Vec4:
-    """Evaluate the immersion with (u, v) seeded as jet variables."""
+def _check_domain(patch: SurfacePatch, u, v) -> None:
     dom = patch.domain
     bad = first_failure(dom.u.outside(u) | dom.v.outside(v), u, v)
     if bad:
         name, x, iv = (("u", bad[0], dom.u) if dom.u.outside(bad[0])
                        else ("v", bad[1], dom.v))
         raise DomainError("surface-eval", x, f"{name} in [{iv.lo}, {iv.hi}]")
-    return patch.immersion(Jet2.seed_u(u), Jet2.seed_v(v))
+
+
+def jet_eval_surface(patch: SurfacePatch, u: float, v: float,
+                     lines: Optional[LineJets] = None) -> Jet2Vec4:
+    """Evaluate the immersion with (u, v) seeded as jet variables, from
+    the patch's line jets if it has them; ``lines`` passes ones the caller
+    has already evaluated at (u, v)."""
+    _check_domain(patch, u, v)
+    if patch.lines is None:
+        return patch.immersion(Jet2.seed_u(u), Jet2.seed_v(v))
+    if lines is None:
+        lines = patch.lines(u, v)
+    return lines.immersion()
 
 
 def _project_normal(w: Vec4M, z_u: Vec4M, z_v: Vec4M,
@@ -284,28 +290,36 @@ NORMAL_TOL = 1e-12
 H_FLOOR = 1e-12
 
 
-def point_data(patch: SurfacePatch, u: float, v: float) -> PointData:
+def point_data(patch: SurfacePatch, u: float, v: float,
+               lines: Optional[LineJets] = None) -> PointData:
     """Compute all pointwise geometry at an interior point, in the patch's
     own frame if it has one (see :func:`point_data_from_derivatives` for
-    how it is checked), else in the canonical frame."""
-    jets = jet_eval_surface(patch, u, v)
+    how it is checked), else in the canonical frame.  ``lines`` are the
+    patch's line jets at (u, v), when the caller has evaluated them
+    already (see :func:`jet_eval_surface`)."""
+    if lines is None and patch.lines is not None:
+        _check_domain(patch, u, v)     # before the profiles are evaluated
+        lines = patch.lines(u, v)
+    jets = jet_eval_surface(patch, u, v, lines)
     return point_data_from_derivatives(
         u, v, jets.value(), jets.d_u(), jets.d_v(),
-        jets.d_uu(), jets.d_uv(), jets.d_vv(), frame=patch.frame)
+        jets.d_uu(), jets.d_uv(), jets.d_vv(),
+        frame=None if patch.frame is None else patch.frame(lines))
 
 
 def point_data_from_derivatives(u: float, v: float, z: Vec4M,
                                 z_u: Vec4M, z_v: Vec4M, z_uu: Vec4M,
                                 z_uv: Vec4M, z_vv: Vec4M,
-                                frame: Optional[FrameFn] = None) -> PointData:
+                                frame: Optional[tuple[Vec4M, Vec4M]] = None
+                                ) -> PointData:
     """Pointwise geometry from already-computed derivative vectors.
 
     Lets a caller feed derivatives obtained by any means (for instance a
     finite-difference scheme) through the exact same formula path as
-    :func:`point_data`.  ``frame`` is a callable of (u, v) that returns
-    (n1, n2); they are checked for orthonormality and normality to
-    FRAME_TOL but not for orientation, so sign-flipped frames can be probed
-    deliberately.  Without one the canonical :func:`normal_frame` is used.
+    :func:`point_data`.  ``frame`` is a supplied (n1, n2) at the points;
+    it is checked for orthonormality and normality to FRAME_TOL but not
+    for orientation, so sign-flipped frames can be probed deliberately.
+    Without one the canonical :func:`normal_frame` is used.
     """
     e, f, g, det2 = _metric(z_u, z_v)
     bad = first_failure(_not_spacelike(e, det2), u, v, e, det2)
@@ -317,7 +331,7 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     if frame is None:
         n1, n2 = normal_frame(z_u, z_v)
     else:
-        n1, n2 = frame(u, v)
+        n1, n2 = frame
         su = ops.sqrt(e)
         sv = ops.sqrt(g)
         worst = ops.max(

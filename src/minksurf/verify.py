@@ -6,7 +6,8 @@ with max (or stdev where constancy is the claim) and returns a
 within its threshold and no explicit failure was recorded.  A grid
 certificate evaluates its whole grid in one array call of the surface
 engine, with the u samples as a (nu, 1) column and the v samples as a
-(1, nv) row, and reduces it with numpy in row-major order.  Claims are
+(1, nv) row (:meth:`GridSpec.lines`), so a parabolic patch evaluates each
+profile once per line, and reduces it with numpy in row-major order.  Claims are
 certified numerically at grid resolution, not symbolically; with exact
 jet derivatives the residuals are limited only by rounding, so
 thresholds around 1e-9 .. 1e-10 leave three to six orders of margin over
@@ -99,16 +100,6 @@ def _rel(a, b):
     return abs(a - b) / np.maximum(abs(b), 1.0)
 
 
-def _lines(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's u samples as a (nu, 1) column and its v samples as a
-    (1, nv) row.  Broadcast together they are the points of
-    :meth:`GridSpec.points`, and a parabolic patch evaluates each profile
-    once per line (see :func:`~minksurf.meridian.build_parabolic`)."""
-    us = np.array(grid.u_range.linspace(grid.u_samples))
-    vs = np.array(grid.v_range.linspace(grid.v_samples))
-    return us[:, None], vs[None, :]
-
-
 def _positions(z: Vec4M, shape: tuple[int, ...]) -> np.ndarray:
     """The 4 x n matrix of the vectors over ``shape``, one per column, in
     row-major order."""
@@ -132,7 +123,7 @@ def verify_flat_normal_connection(patch: SurfacePatch, grid: GridSpec,
                                   tol: float = 1e-10) -> VerificationReport:
     """max |kappa_normal| over the grid; zero for every admissible family."""
     _profiles(patch, "verify_flat_normal_connection")
-    us, vs = _lines(grid)
+    us, vs = grid.lines()
     p = point_data(patch, us, vs)
     return _grid_report("flat-normal-connection", abs(p.kappa_normal),
                         us, vs, tol)
@@ -142,7 +133,7 @@ def verify_second_fundamental_form(patch: SurfacePatch, grid: GridSpec,
                                    tol: float = 1e-10) -> VerificationReport:
     """L and N vanish; M matches its reduced closed form (relative)."""
     fp, phi = _profiles(patch, "verify_second_fundamental_form")
-    us, vs = _lines(grid)
+    us, vs = grid.lines()
     p = point_data(patch, us, vs)
     cf = parabolic_closed_forms(fp, phi, us, vs)
     res = _max(abs(p.L), abs(p.N), _rel(p.M, cf.M))
@@ -153,7 +144,7 @@ def verify_closed_form_invariants(patch: SurfacePatch, grid: GridSpec,
                                   tol: float = 1e-9) -> VerificationReport:
     """k, K, H1, H2 from jets against the reduced formulas (relative)."""
     fp, phi = _profiles(patch, "verify_closed_form_invariants")
-    us, vs = _lines(grid)
+    us, vs = grid.lines()
     p = point_data(patch, us, vs)
     cf = parabolic_closed_forms(fp, phi, us, vs)
     res = _max(_rel(p.k, cf.k), _rel(p.K, cf.K), _rel(p.H1, cf.H1),
@@ -169,7 +160,7 @@ def verify_marginally_trapped(patch: SurfacePatch, grid: GridSpec,
     report also carries min (H1^2 + H2^2)^(1/2) so callers can assert
     H != 0 separately.
     """
-    us, vs = _lines(grid)
+    us, vs = grid.lines()
     p = point_data(patch, us, vs)
     scale = p.H1 * p.H1 + p.H2 * p.H2
     res = abs(p.h_dot_h()) / np.maximum(scale, 1e-30)
@@ -254,7 +245,7 @@ def verify_case1_hyperplane(patch: SurfacePatch, grid: GridSpec,
     if bad:
         raise UsageError("generating-curve curvature is not zero "
                          "(kappa={!r} at v={!r})".format(*bad))
-    us, vs = _lines(grid)
+    us, vs = grid.lines()
     p = point_data(patch, us, vs)
     shape = (us.size, vs.size)
     n1_ref = Vec4M(*_positions(p.n1, shape)[:, 0].tolist())
@@ -298,7 +289,7 @@ def verify_cone_lightlike_hyperplane(patch: SurfacePatch, grid: GridSpec,
     normal of the span.
     """
     _profiles(patch, "verify_cone_lightlike_hyperplane")
-    us, vs = _lines(grid)
+    us, vs = grid.lines()
     z = _positions(jet_eval_surface(patch, us, vs).value(),
                    (us.size, vs.size))
     m = z[:, 1:] - z[:, :1]

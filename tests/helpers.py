@@ -4,7 +4,10 @@ the ``%`` row format that exported tables are checked against."""
 import math
 import random
 
+import numpy as np
+
 from minksurf import jets
+from minksurf.expr import compile_profile
 from minksurf.jets import Jet2
 from minksurf.meridian import (ProfileCurvePhi, ProfilePair, RootBranch,
                                build_parabolic, plane_section_phi)
@@ -29,6 +32,28 @@ def row_format(n: int, sep: str = ",") -> str:
     ended by a newline, each field as ``'%.17g'``: the reference bytes of
     the exporters' table writer."""
     return sep.join(["%.17g"] * n) + "\n"
+
+
+def flat_points(grid) -> tuple:
+    """The points of ``grid.points()`` as flat u and v arrays, in the
+    same order: its (nu, 1) column and (1, nv) row broadcast together."""
+    return tuple(x.ravel() for x in np.broadcast_arrays(*grid.lines()))
+
+
+def reproducer_pair() -> ProfilePair:
+    """f = 2 + 0.001 sin(167.55 (u - 0.5)) and g = -u on [0.5, 2]:
+    admissible at the 41 samples build_parabolic checks, but -f'*g' > 0
+    fails between them, first at u = 0.5150753768844221 of 200 samples."""
+    return ProfilePair(compile_profile("2 + 0.001*sin(167.55*(u-0.5))", "u"),
+                       compile_profile("-u", "u"), Interval(0.5, 2.0))
+
+
+def nan_near(x0: float):
+    """The constant profile 2, NaN within 1e-6 of x0."""
+    def profile(j: Jet2) -> Jet2:
+        val = np.where(abs(j.val - x0) < 1e-6, math.nan, 2.0)
+        return Jet2(val if val.ndim else float(val))
+    return profile
 
 
 def rel_err(a: float, b: float, floor: float = 1.0) -> float:

@@ -239,7 +239,8 @@ def test_criterion_09_meridian_planarity():
         return Jet2Vec4(z.x1, z.x2, z.x3 + 1e-3 * jets.sin(ju), z.x4)
 
     control = verify_meridian_planarity(
-        replace(base, immersion=bent, frame=None), 0.4, tol=1e-10)
+        replace(base, immersion=bent, frame=None, lines=None), 0.4,
+        tol=1e-10)
     ok = worst <= 1e-10 and not control.passed
     report(9, f"meridians stay in their lightlike planes (3 families x 3 "
               f"sections; perturbed control residual {control.max_residual:.1e})",
@@ -267,7 +268,7 @@ def test_criterion_10_engine_cross_validation(random_patches):
     base = point_data(patch, u, v)
     for f1, f2 in ((-1, 1), (1, -1), (-1, -1)):
         flipped = (base.n1.scale(f1), base.n2.scale(f2))
-        flip = point_data(replace(patch, frame=lambda u, v: flipped), u, v)
+        flip = point_data(replace(patch, frame=lambda lines: flipped), u, v)
         worst_flip = max(
             worst_flip,
             abs(base.k - flip.k), abs(base.K - flip.K),

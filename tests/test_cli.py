@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -419,14 +418,6 @@ class TestRejectedInputs:
         assert run_cli(argv + ["--v=-1:1:5", "--csv", str(out)]) == 0
 
 
-def fresh_per_point(build) -> SurfacePatch:
-    """A patch that builds a new patch, with empty profile memos, for
-    every immersion and frame evaluation."""
-    return replace(build(),
-                   immersion=lambda ju, jv: build().immersion(ju, jv),
-                   frame=lambda u, v: build().frame(u, v))
-
-
 def per_point_csv(patch, grid, positions_only=False) -> bytes:
     """The exporters' CSV from one float call per point, each row written
     with ``row_format``."""
@@ -486,7 +477,7 @@ class TestPerLineMemoOutput:
                         "--csv", str(tmp_path / "s.csv"),
                         "--obj", str(tmp_path / "s.obj")])
         assert code == 0
-        ref = fresh_per_point(lambda: self.expression_patch(exprs, self.GRID))
+        ref = self.expression_patch(exprs, self.GRID)
         assert ((tmp_path / "s.csv").read_bytes()
                 == per_point_csv(ref, self.GRID, positions_only=True))
         assert (tmp_path / "s.obj").read_bytes() == per_point_obj(ref,
@@ -507,7 +498,7 @@ class TestPerLineMemoOutput:
             return build_parabolic(fp, phi)
 
         assert ((tmp_path / "f.csv").read_bytes()
-                == per_point_csv(fresh_per_point(build), self.GRID))
+                == per_point_csv(build(), self.GRID))
 
     def test_invariants_csv_with_exp_ln_and_real_powers(self, tmp_path):
         # numpy's ** and exp round differently from float ** and

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from minksurf import exporters
 from minksurf.cli import run_cli
-from minksurf.errors import ExprError, SingularProjection
+from minksurf.errors import AdmissibilityError, ExprError, SingularProjection
 from minksurf.exporters import DEFAULT_PROJECTION, export_grid
 from minksurf.jets import Jet2, Jet2Vec4
 from minksurf.meridian import ProfileCurvePhi, ProfilePair, build_parabolic
 from minksurf.surface import GridSpec, Interval, SurfacePatch, jet_eval_surface
 
-from helpers import random_parabolic_patch, row_format
+from helpers import (nan_near, random_parabolic_patch, reproducer_pair,
+                     row_format)
 
 FLIP = ((-1.0, 0.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, 0.5))
 
@@ -107,9 +108,9 @@ def test_both_files_equal_one_file_at_a_time(kind, seed, nu, nv, projection,
 def test_one_evaluation_per_block(monkeypatch, tmp_path):
     calls = []
 
-    def counting(patch, u, v):
+    def counting(patch, u, v, lines=None):
         calls.append(np.size(u) * np.size(v))
-        return jet_eval_surface(patch, u, v)
+        return jet_eval_surface(patch, u, v, lines)
 
     monkeypatch.setattr(exporters, "jet_eval_surface", counting)
     grid = GridSpec(150, 10, Interval(0.6, 1.9), Interval(0.1, 6.0))
@@ -169,6 +170,43 @@ def test_a_failing_pass_leaves_no_file(tmp_path, projection, error):
         export_grid(patch, grid, str(tmp_path / "m.csv"),
                     str(tmp_path / "m.obj"), projection, positions_only=True)
     assert str(both.value) == str(obj_only.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def flipped_near(x0: float):
+    """The profile j, times -1 within 1e-9 of x0: a sign flip that the 41
+    samples of build_parabolic step over."""
+    def profile(j: Jet2) -> Jet2:
+        s = np.where(abs(j.val - x0) < 1e-9, -1.0, 1.0)
+        return j * Jet2(s if s.ndim else float(s))
+    return profile
+
+
+@pytest.mark.parametrize("positions_only", [False, True])
+def test_u_samples_are_checked_before_v_samples(tmp_path, positions_only):
+    # -f'*g' > 0 fails from u = 0.5150753768844221 on, and phi is NaN at
+    # the v sample 1/3; neither shows at the 41 samples of the build.
+    patch = build_parabolic(reproducer_pair(), ProfileCurvePhi(
+        nan_near(1.0 / 3.0), Interval(0.0, 1.0)))
+    grid = GridSpec(200, 4, Interval(0.5, 2.0), Interval(0.0, 1.0))
+    with pytest.raises(AdmissibilityError) as err:
+        export_grid(patch, grid, str(tmp_path / "q.csv"),
+                    str(tmp_path / "q.obj"), positions_only=positions_only)
+    assert str(err.value) == "-f'*g' > 0 violated at u = 0.5150753768844221"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_f_positive_is_named_when_both_fail_at_one_u(tmp_path):
+    # f = -u and f' = -1 at the fourth u sample only, so f > 0 and
+    # -f'*g' > 0 fail there together; -f'*g' > 0 is checked second.
+    grid = GridSpec(10, 4, Interval(0.5, 2.0), Interval(0.0, 1.0))
+    u_bad = grid.u_range.linspace(grid.u_samples)[3]
+    fp = ProfilePair(flipped_near(u_bad), lambda j: -j, grid.u_range)
+    patch = build_parabolic(fp, ProfileCurvePhi(lambda j: Jet2.constant(1.0),
+                                                grid.v_range))
+    with pytest.raises(AdmissibilityError) as err:
+        export_grid(patch, grid, str(tmp_path / "q.csv"))
+    assert (err.value.inequality, err.value.value) == ("f > 0", u_bad)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -18,14 +18,13 @@ from minksurf.verify import GridSpec
 from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                                ProfilePair, RootBranch, SignBranch,
                                build_parabolic, kappa_bar, kappa_m,
-                               meridian_plane, mt_cone_patch,
+                               line_jets, meridian_plane, mt_cone_patch,
                                mt_general_gprime, mt_general_profile,
-                               parabolic_closed_forms,
-                               parabolic_normal_frame, paraboloid_point,
+                               parabolic_closed_forms, paraboloid_point,
                                plane_section_curvature, plane_section_phi,
                                profile_u, profile_v)
 
-from helpers import random_parabolic_patch
+from helpers import flat_points, random_parabolic_patch
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,9 +132,9 @@ class TestNaNFailsEveryCheck:
                  "-f'*g' > 0"),
                 (lambda: parabolic_closed_forms(fp, self.NAN_PHI, at, at),
                  "phi'^2 + phi^2 > 0"),
-                (lambda: parabolic_normal_frame(self.NAN_G, self.PHI)(at, at),
+                (lambda: line_jets(self.NAN_G, self.PHI, at, at),
                  "-f'*g' > 0"),
-                (lambda: parabolic_normal_frame(fp, self.NAN_PHI)(at, at),
+                (lambda: line_jets(fp, self.NAN_PHI, at, at),
                  "phi'^2 + phi^2 > 0")):
             with pytest.raises(AdmissibilityError) as err:
                 call()
@@ -507,7 +506,7 @@ class TestProfileLineMemo:
         fp, phi = _general_family()
         patch = build_parabolic(fp, phi)
         grid = GridSpec.for_patch(patch, 5, 4)
-        us, vs = grid.mesh()
+        us, vs = flat_points(grid)
         before = _bits(point_data(patch, us, vs))
         for u, v in grid.points():
             point_data(patch, u, v)

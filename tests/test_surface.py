@@ -24,7 +24,8 @@ from minksurf.meridian import (ProfileCurvePhi, ProfilePair, build_parabolic,
                                MTFamilyParams, parabolic_closed_forms)
 
 from fd_oracle import fd_point_data
-from helpers import random_parabolic_patch
+from helpers import (flat_points, nan_near, random_parabolic_patch,
+                     reproducer_pair)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -291,7 +292,7 @@ class TestFrameIndependence:
         patch = build_parabolic(fp, phi)
         base = point_data(patch, 1.2, 0.8)
         pair = (base.n1.scale(flip1), base.n2.scale(flip2))
-        flipped = point_data(replace(patch, frame=lambda u, v: pair), 1.2, 0.8)
+        flipped = point_data(replace(patch, frame=lambda lines: pair), 1.2, 0.8)
         odd = flip1 * flip2 < 0
         assert abs(base.k - flipped.k) <= 1e-12
         assert abs(base.K - flipped.K) <= 1e-12
@@ -309,13 +310,13 @@ class TestFrameIndependence:
 
     def test_invalid_frame_rejected(self, flat_patch):
         with pytest.raises(DegenerateFrame):
-            point_data(replace(flat_patch, frame=lambda u, v: (E1, E4)),
+            point_data(replace(flat_patch, frame=lambda lines: (E1, E4)),
                        1.0, 0.0)
         j = jet_eval_surface(flat_patch, 1.0, 0.0)
         with pytest.raises(DegenerateFrame):
             point_data_from_derivatives(1.0, 0.0, j.value(), j.d_u(), j.d_v(),
                                         j.d_uu(), j.d_uv(), j.d_vv(),
-                                        frame=lambda u, v: (E1, E4))
+                                        frame=(E1, E4))
 
 
 class TestReparametrization:
@@ -417,14 +418,15 @@ class TestNotSpacelike:
             point_data(patch, 0.0, 0.0)
 
 
-def _reproducer_patch_and_grid():
-    """Admissible at the 41 samples build_parabolic checks, but not
-    spacelike between them."""
-    fp = ProfilePair(compile_profile("2 + 0.001*sin(167.55*(u-0.5))", "u"),
-                     compile_profile("-u", "u"), Interval(0.5, 2.0))
-    phi = ProfileCurvePhi(compile_profile("2", "v"), Interval(0.0, 6.283))
-    return (build_parabolic(fp, phi),
-            GridSpec(200, 5, Interval(0.5, 2.0), Interval(0.0, 6.283)))
+def _tilted_patch_and_grid():
+    """z = (u, v, 0, u v), a generic patch whose tangent plane is
+    spacelike only where EG - F^2 = 1 - u^2 - v^2 > 0."""
+    def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
+        return Jet2Vec4(ju, jv, Jet2.constant(0.0), ju * jv)
+
+    patch = SurfacePatch(immersion, Rect(Interval(0.0, 1.0),
+                                         Interval(0.0, 1.0)))
+    return patch, GridSpec(5, 4, Interval(0.1, 0.9), Interval(0.1, 0.9))
 
 
 def _stack(*vectors: Vec4M) -> Vec4M:
@@ -438,13 +440,14 @@ class TestErrorsCarryTheirPoint:
     an array call; the messages are unchanged."""
 
     def test_not_spacelike_point(self):
-        patch, grid = _reproducer_patch_and_grid()
+        patch, grid = _tilted_patch_and_grid()
+        u0, v0 = next((u, v) for u, v in grid.points() if u * u + v * v > 1)
         with pytest.raises(NotSpacelike) as one:
-            point_data(patch, 0.5150753768844221, 0.0)
+            point_data(patch, u0, v0)
         with pytest.raises(NotSpacelike) as many:
-            point_data(patch, *grid.mesh())
+            point_data(patch, *flat_points(grid))
         for err in (one.value, many.value):
-            assert (err.u, err.v) == (0.5150753768844221, 0.0)
+            assert (err.u, err.v) == (u0, v0)
             assert err.E == one.value.E and err.det == one.value.det
             assert err.E <= 0.0 or err.det <= 0.0
             assert str(err) == (
@@ -533,7 +536,7 @@ class TestErrorsCarryTheirPoint:
         # The canonical frame at v = 0.5 is valid there and not at v = 1.5.
         j = jet_eval_surface(flat_patch, 1.0, 0.5)
         frame = normal_frame(j.d_u(), j.d_v())
-        fixed = replace(flat_patch, frame=lambda u, v: frame)
+        fixed = replace(flat_patch, frame=lambda lines: frame)
         us = np.full(3, 1.0)
         vs = np.array([0.5, 1.5, 2.5])
         point_data(fixed, 1.0, 0.5)
@@ -655,7 +658,7 @@ class TestArrayEngine:
     @pytest.mark.parametrize("case", [0, 1], ids=["generic", "general"])
     def test_point_data_is_bit_identical(self, case):
         _, _, patch, grid = _claim_suite_grids()[case]
-        us, vs = grid.mesh()
+        us, vs = flat_points(grid)
         batch = _field_arrays(point_data(patch, us, vs), us.size)
         single = [_field_arrays(point_data(patch, u, v), 1)
                   for u, v in grid.points()]
@@ -667,7 +670,7 @@ class TestArrayEngine:
     @pytest.mark.parametrize("case", [0, 1], ids=["generic", "general"])
     def test_closed_forms_agree(self, case):
         fp, phi, _, grid = _claim_suite_grids()[case]
-        us, vs = grid.mesh()
+        us, vs = flat_points(grid)
         batch = _field_arrays(parabolic_closed_forms(fp, phi, us, vs),
                               us.size)
         single = [_field_arrays(parabolic_closed_forms(fp, phi, u, v), 1)
@@ -708,21 +711,38 @@ class TestArrayEngine:
         assert type(jet_eval_surface(flat_patch, 1.2, 0.7).x1.val) is float
 
     def test_non_spacelike_point_raises_like_one_point(self):
-            # The profile leaves the spacelike range between the 41 samples
-        # that build_parabolic checks.
-        fp = ProfilePair(compile_profile("2 + 0.001*sin(167.55*(u-0.5))", "u"),
-                         compile_profile("-u", "u"), Interval(0.5, 2.0))
-        phi = ProfileCurvePhi(compile_profile("2", "v"), Interval(0.0, 6.283))
-        patch = build_parabolic(fp, phi)
+        # -f'*g' > 0 fails between the 41 samples that build_parabolic
+        # checks, and the metric is not spacelike there; the engine names
+        # the inequality on the line jets it evaluates, not the symptom.
+        patch = build_parabolic(reproducer_pair(), ProfileCurvePhi(
+            compile_profile("2", "v"), Interval(0.0, 6.283)))
         grid = GridSpec(200, 5, Interval(0.5, 2.0), Interval(0.0, 6.283))
+        want = "-f'*g' > 0 violated at u = 0.5150753768844221"
         kind, message = _first_error(lambda u, v: point_data(patch, u, v),
                                      grid.points())
-        assert kind is NotSpacelike
-        assert message.startswith(
-            "not spacelike at (u,v)=(0.5150753768844221,0.0)")
-        with pytest.raises(NotSpacelike) as err:
-            point_data(patch, *grid.mesh())
-        assert str(err.value) == message
+        assert (kind, message) == (AdmissibilityError, want)
+        for us, vs in (flat_points(grid), grid.lines()):
+            with pytest.raises(AdmissibilityError) as err:
+                point_data(patch, us, vs)
+            assert str(err.value) == want
+
+    def test_inadmissible_phi_is_named(self):
+        # phi is NaN at v = 1/3 only, between the 41 samples of the build;
+        # every u sample is checked before any v sample.
+        patch = build_parabolic(reproducer_pair(), ProfileCurvePhi(
+            nan_near(1.0 / 3.0), Interval(0.0, 1.0)))
+        for u, want in ((0.5, "phi'^2 + phi^2 > 0 violated at "
+                               "v = 0.3333333333333333"),
+                        (1.0, "-f'*g' > 0 violated at u = 1.0")):
+            with pytest.raises(AdmissibilityError) as err:
+                point_data(patch, u, 1.0 / 3.0)
+            assert str(err.value) == want
+        grid = GridSpec(200, 4, Interval(0.5, 2.0), Interval(0.0, 1.0))
+        for us, vs in (flat_points(grid), grid.lines()):
+            with pytest.raises(AdmissibilityError) as err:
+                point_data(patch, us, vs)
+            assert str(err.value) == (
+                "-f'*g' > 0 violated at u = 0.5150753768844221")
 
     def test_inadmissible_point_raises_like_one_point(self):
             # g' = -(u - 1)(u - 1.2): -f'g' <= 0 on [1, 1.2] only.
@@ -737,7 +757,7 @@ class TestArrayEngine:
             grid.points())
         assert kind is AdmissibilityError and "u = 1.0" in message
         with pytest.raises(AdmissibilityError) as err:
-            parabolic_closed_forms(fp, phi, *grid.mesh())
+            parabolic_closed_forms(fp, phi, *flat_points(grid))
         assert str(err.value) == message
 
     def test_domain_errors_name_the_first_failing_value(self, flat_patch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minksurf import jets
-from minksurf.errors import ParamError, UsageError
+from minksurf.errors import AdmissibilityError, ParamError, UsageError
 from minksurf.jets import Jet2, Jet2Vec4
 from minksurf.surface import Interval, Rect, SurfacePatch
 from minksurf.meridian import (MTFamilyParams, ProfileCurvePhi, ProfilePair,
@@ -24,7 +24,7 @@ from minksurf.verify import (GridSpec, VerificationReport, claim_suite,
                              verify_meridian_planarity, verify_ode_chain,
                              verify_second_fundamental_form)
 
-from helpers import random_parabolic_patch
+from helpers import random_parabolic_patch, reproducer_pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -289,13 +289,14 @@ class TestConeLightlikeHyperplane:
 
 def _bent_copy(patch: SurfacePatch) -> SurfacePatch:
     """The patch, with its profiles, bent off the meridian surface by a
-    small term; the canonical frame, since the adapted one no longer fits."""
+    small term: a generic immersion in the canonical frame, since the
+    line jets and the adapted frame no longer fit."""
 
     def bent(ju: Jet2, jv: Jet2) -> Jet2Vec4:
         z = patch.immersion(ju, jv)
         return Jet2Vec4(z.x1, z.x2, z.x3 + 1e-3 * jets.sin(ju), z.x4)
 
-    return replace(patch, immersion=bent, frame=None)
+    return replace(patch, immersion=bent, frame=None, lines=None)
 
 
 class TestNegativeControls:
@@ -358,18 +359,13 @@ class TestNegativeControls:
 
 
 class TestGridReduction:
-    def test_mesh_matches_points(self):
+    def test_lines_broadcast_to_the_points(self):
         grid = GridSpec(3, 4, Interval(0.1, 0.7), Interval(-1.0, 2.0))
-        us, vs = grid.mesh()
-        assert list(zip(us.tolist(), vs.tolist())) == list(grid.points())
-
-    def test_lines_broadcast_to_the_mesh(self):
-        grid = GridSpec(3, 4, Interval(0.1, 0.7), Interval(-1.0, 2.0))
-        col, row = verify._lines(grid)
+        col, row = grid.lines()
         assert col.shape == (3, 1) and row.shape == (1, 4)
-        us, vs = grid.mesh()
-        assert np.broadcast_to(col, (3, 4)).ravel().tolist() == us.tolist()
-        assert np.broadcast_to(row, (3, 4)).ravel().tolist() == vs.tolist()
+        us, vs = np.broadcast_arrays(col, row)
+        assert (list(zip(us.ravel().tolist(), vs.ravel().tolist()))
+                == list(grid.points()))
 
     def test_witness_of_a_column_by_row_is_row_major(self):
         col, row = np.array([[0.1], [0.2]]), np.array([[1.0, 2.0, 3.0]])
@@ -401,6 +397,16 @@ class TestGridReduction:
             patch, GridSpec.for_patch(patch, 30, 20))
         assert report.passed and report.samples == 600
         assert calls == {"f": 30, "g": 30, "phi": 20}
+
+    def test_inadmissible_grid_names_its_inequality(self):
+        # -f'*g' > 0 fails between the 41 samples build_parabolic checks.
+        patch = build_parabolic(reproducer_pair(), ProfileCurvePhi(
+            lambda j: Jet2.constant(2.0), Interval(0.0, 6.283)))
+        grid = GridSpec(200, 5, Interval(0.5, 2.0), Interval(0.0, 6.283))
+        with pytest.raises(AdmissibilityError) as err:
+            verify_flat_normal_connection(patch, grid)
+        assert str(err.value) == (
+            "-f'*g' > 0 violated at u = 0.5150753768844221")
 
     def test_first_maximum_is_the_witness(self):
         us, vs = np.arange(4.0), -np.arange(4.0)
