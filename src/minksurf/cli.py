@@ -23,7 +23,6 @@ import sys
 from functools import partial
 
 from .errors import Error, UsageError
-from .expr import compile_profile
 from .meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                        ProfilePair, RootBranch, SignBranch, build_parabolic,
                        kappa_bar_of_jet, mt_cone_patch, mt_general_profile,
@@ -31,6 +30,19 @@ from .meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
 from .surface import GridSpec, Interval
 from .verify import claim_suite, render_reports
 from . import exporters
+
+# verify and exporters are imported here, not per subcommand:
+# perfbench/probe.py times set-up up to parsing for verify and up to
+# _export for exports, so an import moved past that point would be
+# counted as evaluation.
+
+
+def compile_profile(src: str, variable: str):
+    """:func:`minksurf.expr.compile_profile`, importing that module on
+    the first call: ``verify`` and ``family --section`` parse no
+    expression, so they do not load it."""
+    from .expr import compile_profile as compile_expr
+    return compile_expr(src, variable)
 
 
 def _real(text: str, what: str, positive: bool = False) -> float:

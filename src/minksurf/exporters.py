@@ -10,7 +10,8 @@ whole u lines of about :data:`BLOCK_POINTS` points:
 
 * The line jets of a parabolic patch (``SurfacePatch.lines``) are
   evaluated once per export, on the column of all u samples and the row
-  of v samples, and the profile inequalities are checked on them first.
+  of v samples, after the grid is checked to lie in the patch's domain,
+  and the profile inequalities are checked on them first.
 * Each block is evaluated once, with one array call of the surface
   engine (``point_data`` for the invariant table, else
   ``jet_eval_surface``) on the block's rows of those line jets, and
@@ -46,9 +47,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Error, SingularProjection
+from .errors import Error, SingularProjection, UsageError
 from .minkowski import first_failure
-from .surface import GridSpec, SurfacePatch, jet_eval_surface, point_data
+from .surface import (GridSpec, SurfacePatch, checked_lines,
+                      jet_eval_surface, point_data)
 
 CSV_HEADER = "u,v,x1,x2,x3,x4,E,F,G,L,M,N,k,kappa,K,H1,H2,H3,H4,HdotH"
 
@@ -162,8 +164,11 @@ def export_grid(patch: SurfacePatch, grid: GridSpec, csv: str | None = None,
     projects each point to 3-space with ``projection``, a full-rank 3x4
     matrix (default: drop x4), and splits each grid cell into two
     triangles.  The files replace their targets only after the whole
-    pass has succeeded.  Returns (rows, vertices, faces).
+    pass has succeeded.  Returns (rows, vertices, faces).  CSV and OBJ
+    that resolve to one file are refused before anything is written.
     """
+    if csv and obj and os.path.realpath(csv) == os.path.realpath(obj):
+        raise UsageError(f"CSV and OBJ would both be written to {obj}")
     from ._fmt17 import GridText, face_text     # built on first use
     proj = _projection(projection) if obj else None
     us, row = grid.lines()
@@ -186,8 +191,9 @@ def export_grid(patch: SurfacePatch, grid: GridSpec, csv: str | None = None,
     with ExitStack() as files:
         csv_fh = csv and files.enter_context(atomic_writer(csv))
         obj_fh = obj and files.enter_context(atomic_writer(obj))
-        # The profile jets of every u line and of the v row, checked.
-        lines = None if patch.lines is None else patch.lines(us, row)
+        # The grid checked in the domain, then the profile jets of every
+        # u line and of the v row, checked; the blocks check neither.
+        lines = None if patch.lines is None else checked_lines(patch, us, row)
         if csv_fh:
             csv_fh.write(header + "\n")
         text = GridText(us.ravel(), row.ravel(),

@@ -16,7 +16,6 @@ the offending source position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from . import jets
@@ -32,12 +31,14 @@ _FUNCS: dict[str, Callable[[Jet2], Jet2]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
 class _Token:
-    kind: str  # num | name | op | lparen | rparen | end
-    text: str
-    pos: int
-    value: float = 0.0
+    __slots__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value: float = 0.0):
+        self.kind = kind    # num | name | op | lparen | rparen | end
+        self.text = text
+        self.pos = pos
+        self.value = value
 
 
 def _tokenize(src: str) -> list[_Token]:

@@ -20,7 +20,6 @@ if any element fails and names the first failing value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -31,7 +30,6 @@ from .minkowski import Vec4M, elementary, first_failure
 Scalar = Union[int, float]
 
 
-@dataclass(slots=True)
 class Jet2:
     """Value and partial derivatives (du, dv, duu, duv, dvv) at a point.
 
@@ -40,12 +38,16 @@ class Jet2:
     Not frozen, because frozen construction dominated the one-point cost.
     """
 
-    val: float
-    du: float = 0.0
-    dv: float = 0.0
-    duu: float = 0.0
-    duv: float = 0.0
-    dvv: float = 0.0
+    __slots__ = ("val", "du", "dv", "duu", "duv", "dvv")
+
+    def __init__(self, val: float, du: float = 0.0, dv: float = 0.0,
+                 duu: float = 0.0, duv: float = 0.0, dvv: float = 0.0):
+        self.val = val
+        self.du = du
+        self.dv = dv
+        self.duu = duu
+        self.duv = duv
+        self.dvv = dvv
 
     # -- constructors -------------------------------------------------
 
@@ -216,17 +218,19 @@ def log_abs(x: Jet2) -> Jet2:
     return _chain(x, elementary(x.val).log(abs(x.val)), inv, -inv * inv)
 
 
-@dataclass(slots=True)
 class Jet2Vec4:
     """Four jet components in the orthonormal basis of R^4_1.
 
     Never modified after construction (see :class:`Jet2`).
     """
 
-    x1: Jet2
-    x2: Jet2
-    x3: Jet2
-    x4: Jet2
+    __slots__ = ("x1", "x2", "x3", "x4")
+
+    def __init__(self, x1: Jet2, x2: Jet2, x3: Jet2, x4: Jet2):
+        self.x1 = x1
+        self.x2 = x2
+        self.x3 = x3
+        self.x4 = x4
 
     def value(self) -> Vec4M:
         return Vec4M(self.x1.val, self.x2.val, self.x3.val, self.x4.val)

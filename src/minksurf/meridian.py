@@ -25,7 +25,6 @@ as arrays that broadcast together, like the surface engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Optional
@@ -37,26 +36,30 @@ from .errors import AdmissibilityError, CurvatureMismatch, Error, ParamError
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
 from .minkowski import (XI1, NullFrameCoords, Vec4M, elementary,
                         first_failure, from_null_frame)
-from .surface import Interval, Rect, SurfacePatch
+from .surface import Interval, Rect, SurfacePatch, _read_only
 
 ProfileFn = Callable[[Jet2], Jet2]
 
 
-@dataclass(frozen=True)
 class ProfilePair:
     """Meridian profile (f, g) on an interval; f > 0 and -f'*g' > 0 there."""
 
-    f: ProfileFn
-    g: ProfileFn
-    domain: Interval
+    __slots__ = ("f", "g", "domain")
+
+    def __init__(self, f: ProfileFn, g: ProfileFn, domain: Interval):
+        self.f = f
+        self.g = g
+        self.domain = domain
 
 
-@dataclass(frozen=True)
 class ProfileCurvePhi:
     """Generating profile phi(v) on an interval; phi'^2 + phi^2 > 0 there."""
 
-    phi: ProfileFn
-    domain: Interval
+    __slots__ = ("phi", "domain")
+
+    def __init__(self, phi: ProfileFn, domain: Interval):
+        self.phi = phi
+        self.domain = domain
 
 
 class SignBranch(Enum):
@@ -134,7 +137,6 @@ def _kappa_bar(pj: Jet2, q: float) -> float:
 _CHECK_SAMPLES = 41
 
 
-@dataclass(frozen=True, slots=True)
 class LineJets:
     """The profile jets of a parabolic patch on the lines through its
     points: f and g at u, and phi, cos v and sin v at v.  f and g depend on
@@ -142,11 +144,14 @@ class LineJets:
     a (1, n) row, each is evaluated once per line.
     """
 
-    f: Jet2
-    g: Jet2
-    phi: Jet2
-    cos: Jet2
-    sin: Jet2
+    __slots__ = ("f", "g", "phi", "cos", "sin")
+
+    def __init__(self, f: Jet2, g: Jet2, phi: Jet2, cos: Jet2, sin: Jet2):
+        self.f = f
+        self.g = g
+        self.phi = phi
+        self.cos = cos
+        self.sin = sin
 
     def immersion(self) -> Jet2Vec4:
         """The jets of z(u, v) (see the module docstring)."""
@@ -162,7 +167,7 @@ class LineJets:
         f, g = (Jet2(*(s[rows] if isinstance(s, np.ndarray) else s
                        for s in (j.val, j.du, j.dv, j.duu, j.duv, j.dvv)))
                 for j in (self.f, self.g))
-        return replace(self, f=f, g=g)
+        return LineJets(f, g, self.phi, self.cos, self.sin)
 
 
 def _u_jets(fp: ProfilePair, u) -> tuple[Jet2, Jet2]:
@@ -265,22 +270,20 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi) -> SurfacePatch:
     )
 
 
-@dataclass(frozen=True, slots=True)
 class ClosedForms:
     """Reduced expressions for the parabolic family at one point, or at
     each point of equal-length (u, v) arrays."""
 
-    E: float
-    F: float
-    G: float
-    L: float
-    M: float
-    N: float
-    k: float
-    kappa_normal: float
-    K: float
-    H1: float
-    H2: float
+    __slots__ = ("E", "F", "G", "L", "M", "N", "k", "kappa_normal", "K",
+                 "H1", "H2")
+
+    def __init__(self, E: float, F: float, G: float, L: float, M: float,
+                 N: float, k: float, kappa_normal: float, K: float,
+                 H1: float, H2: float):
+        self.E, self.F, self.G = E, F, G
+        self.L, self.M, self.N = L, M, N
+        self.k, self.kappa_normal, self.K = k, kappa_normal, K
+        self.H1, self.H2 = H1, H2
 
 
 def parabolic_closed_forms(fp: ProfilePair, phi: ProfileCurvePhi,
@@ -326,21 +329,25 @@ def parabolic_closed_forms(fp: ProfilePair, phi: ProfileCurvePhi,
 # the lightlike-H families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PlaneSection:
     """Coefficients of a plane cutting the lightlike-axis paraboloid.
 
     The plane w1^2/2 + (A cos w2 + B sin w2) w1 + C = 0 meets the
     paraboloid in a constant-curvature curve whenever A^2 + B^2 - 2C > 0.
+    Read-only, as :class:`MTFamilyParams` checks its curvature.
     """
 
-    A: float
-    B: float
-    C: float
-    root_branch: RootBranch = RootBranch.PLUS
+    __slots__ = ("A", "B", "C", "root_branch")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, A: float, B: float, C: float,
+                 root_branch: RootBranch = RootBranch.PLUS):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "root_branch", root_branch)
 
 
-@dataclass(frozen=True)
 class MTFamilyParams:
     """Parameters selecting a lightlike-H meridian surface.
 
@@ -348,26 +355,30 @@ class MTFamilyParams:
     translation constant, ``c`` the integration constant of the profile
     ODE, ``sign_branch`` the sign choice inside that ODE.  ``section``,
     when given, must generate a curve whose curvature equals ``a``.
+    Read-only.
     """
 
-    a: float
-    b: float
-    c: float
-    sign_branch: SignBranch = SignBranch.PLUS
-    section: Optional[PlaneSection] = None
+    __slots__ = ("a", "b", "c", "sign_branch", "section")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if self.a == 0.0:
+    def __init__(self, a: float, b: float, c: float,
+                 sign_branch: SignBranch = SignBranch.PLUS,
+                 section: Optional[PlaneSection] = None):
+        if a == 0.0:
             raise ParamError("a must be nonzero (a != 0)")
-        if self.c == 0.0:
+        if c == 0.0:
             raise ParamError("c must be nonzero (c != 0)")
-        if self.section is not None:
-            target = plane_section_curvature(
-                self.section.A, self.section.B, self.section.C,
-                self.section.root_branch)
-            if abs(target - self.a) > 1e-12 * max(1.0, abs(self.a)):
+        if section is not None:
+            target = plane_section_curvature(section.A, section.B, section.C,
+                                             section.root_branch)
+            if abs(target - a) > 1e-12 * max(1.0, abs(a)):
                 raise ParamError(
-                    f"section curvature {target!r} does not match a={self.a!r}")
+                    f"section curvature {target!r} does not match a={a!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "sign_branch", sign_branch)
+        object.__setattr__(self, "section", section)
 
 
 def mt_general_profile(params: MTFamilyParams,

@@ -20,7 +20,6 @@ An array result equals the one-point results bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
 from types import SimpleNamespace
@@ -119,24 +118,24 @@ class CausalCharacter(Enum):
     ZERO = "zero"
 
 
-@dataclass(slots=True)
 class Vec4M:
     """A vector of R^4 carrying the indefinite inner product.
 
     Never modified after construction, so the basis constants below are
     shared.  Not frozen, because frozen construction dominated the
-    one-point cost.
+    one-point cost.  Equal to a vector of equal coordinates; unhashable.
     """
 
-    x1: float
-    x2: float
-    x3: float
-    x4: float
+    __slots__ = ("x1", "x2", "x3", "x4")
 
-    def __post_init__(self):
+    def __init__(self, x1: float, x2: float, x3: float, x4: float):
+        self.x1 = x1
+        self.x2 = x2
+        self.x3 = x3
+        self.x4 = x4
         try:
-            if (math.isfinite(self.x1) and math.isfinite(self.x2)
-                    and math.isfinite(self.x3) and math.isfinite(self.x4)):
+            if (math.isfinite(x1) and math.isfinite(x2)
+                    and math.isfinite(x3) and math.isfinite(x4)):
                 return
         except TypeError:   # array coordinates
             pass
@@ -148,6 +147,15 @@ class Vec4M:
                            first_failure(~finite, *coords) or ()):
             if not math.isfinite(x):
                 raise Error(f"non-finite coordinate {name}={x!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Vec4M:
+            return NotImplemented
+        return self.coords() == other.coords()
+
+    def __repr__(self) -> str:
+        return "Vec4M(x1={!r}, x2={!r}, x3={!r}, x4={!r})".format(
+            *self.coords())
 
     def __add__(self, other: "Vec4M") -> "Vec4M":
         return Vec4M(self.x1 + other.x1, self.x2 + other.x2,
@@ -213,17 +221,19 @@ def causal_character(v: Vec4M, tol: float = 1e-12) -> CausalCharacter:
                             CausalCharacter.TIMELIKE)))
 
 
-@dataclass(slots=True)
 class NullFrameCoords:
     """Coordinates with respect to the pseudo-orthonormal basis {e1, e2, xi1, xi2}.
 
     Never modified after construction (see :class:`Vec4M`).
     """
 
-    z1: float
-    z2: float
-    eta1: float
-    eta2: float
+    __slots__ = ("z1", "z2", "eta1", "eta2")
+
+    def __init__(self, z1: float, z2: float, eta1: float, eta2: float):
+        self.z1 = z1
+        self.z2 = z2
+        self.eta1 = eta1
+        self.eta2 = eta2
 
 
 def from_null_frame(c: NullFrameCoords) -> Vec4M:

@@ -30,7 +30,6 @@ that check fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -44,14 +43,23 @@ if TYPE_CHECKING:
     from .meridian import LineJets, ProfileCurvePhi, ProfilePair
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    lo: float
-    hi: float
+def _read_only(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of a value class whose
+    constructor checks its arguments, so that the check keeps holding."""
+    raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+class Interval:
+    """[lo, hi] with lo < hi; read-only."""
+
+    __slots__ = ("lo", "hi")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, lo: float, hi: float):
+        if not (lo < hi):
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> float:
@@ -80,24 +88,28 @@ class Interval:
         return [a + i * step for i in range(n - 1)] + [b]
 
 
-@dataclass(frozen=True, slots=True)
 class Rect:
-    u: Interval
-    v: Interval
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: Interval, v: Interval):
+        self.u = u
+        self.v = v
 
 
-@dataclass(frozen=True, slots=True)
 class GridSpec:
-    """Sample counts and ranges for a rectangular sample grid."""
+    """Sample counts and ranges for a rectangular sample grid; read-only."""
 
-    u_samples: int
-    v_samples: int
-    u_range: Interval
-    v_range: Interval
+    __slots__ = ("u_samples", "v_samples", "u_range", "v_range")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if self.u_samples < 2 or self.v_samples < 2:
+    def __init__(self, u_samples: int, v_samples: int, u_range: Interval,
+                 v_range: Interval):
+        if u_samples < 2 or v_samples < 2:
             raise ParamError("grids need at least 2 samples per axis")
+        object.__setattr__(self, "u_samples", u_samples)
+        object.__setattr__(self, "v_samples", v_samples)
+        object.__setattr__(self, "u_range", u_range)
+        object.__setattr__(self, "v_range", v_range)
 
     def points(self):
         for u in self.u_range.linspace(self.u_samples):
@@ -119,7 +131,6 @@ class GridSpec:
                         Interval(*patch.domain.v.linspace(2, inset=0.02)))
 
 
-@dataclass(frozen=True)
 class SurfacePatch:
     """An immersion over a rectangle, evaluable in jet arithmetic.
 
@@ -135,11 +146,18 @@ class SurfacePatch:
     with the closed forms read.  A generic patch has none of the three.
     """
 
-    immersion: Callable[[Jet2, Jet2], Jet2Vec4]
-    domain: Rect
-    frame: Optional[Callable[[LineJets], tuple[Vec4M, Vec4M]]] = None
-    profiles: Optional[tuple[ProfilePair, ProfileCurvePhi]] = None
-    lines: Optional[Callable[[float, float], LineJets]] = None
+    __slots__ = ("immersion", "domain", "frame", "profiles", "lines")
+
+    def __init__(
+            self, immersion: Callable[[Jet2, Jet2], Jet2Vec4], domain: Rect,
+            frame: Optional[Callable[[LineJets], tuple[Vec4M, Vec4M]]] = None,
+            profiles: Optional[tuple[ProfilePair, ProfileCurvePhi]] = None,
+            lines: Optional[Callable[[float, float], LineJets]] = None):
+        self.immersion = immersion
+        self.domain = domain
+        self.frame = frame
+        self.profiles = profiles
+        self.lines = lines
 
 
 def _check_domain(patch: SurfacePatch, u, v) -> None:
@@ -151,16 +169,23 @@ def _check_domain(patch: SurfacePatch, u, v) -> None:
         raise DomainError("surface-eval", x, f"{name} in [{iv.lo}, {iv.hi}]")
 
 
+def checked_lines(patch: SurfacePatch, u, v) -> Optional[LineJets]:
+    """The patch's line jets at (u, v), evaluated after (u, v) is checked
+    to lie in its domain; None for a generic patch, after the check."""
+    _check_domain(patch, u, v)
+    return None if patch.lines is None else patch.lines(u, v)
+
+
 def jet_eval_surface(patch: SurfacePatch, u: float, v: float,
                      lines: Optional[LineJets] = None) -> Jet2Vec4:
     """Evaluate the immersion with (u, v) seeded as jet variables, from
-    the patch's line jets if it has them; ``lines`` passes ones the caller
-    has already evaluated at (u, v)."""
-    _check_domain(patch, u, v)
-    if patch.lines is None:
-        return patch.immersion(Jet2.seed_u(u), Jet2.seed_v(v))
+    the patch's line jets if it has them.  ``lines`` passes the
+    :func:`checked_lines` of a parabolic patch that the caller has
+    already evaluated at (u, v); then (u, v) is not checked again."""
     if lines is None:
-        lines = patch.lines(u, v)
+        lines = checked_lines(patch, u, v)
+        if lines is None:
+            return patch.immersion(Jet2.seed_u(u), Jet2.seed_v(v))
     return lines.immersion()
 
 
@@ -236,7 +261,6 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     return x.scale(-1.0 / ops.sqrt(sq)), n2
 
 
-@dataclass(slots=True)
 class PointData:
     """All pointwise geometry of an immersion at one (u, v), or at each
     point of (u, v) arrays that broadcast together.
@@ -245,35 +269,28 @@ class PointData:
     :class:`~minksurf.minkowski.Vec4M`).
     """
 
-    u: float
-    v: float
-    z: Vec4M
-    z_u: Vec4M
-    z_v: Vec4M
-    z_uu: Vec4M
-    z_uv: Vec4M
-    z_vv: Vec4M
-    E: float
-    F: float
-    G: float
-    W: float
-    n1: Vec4M
-    n2: Vec4M
-    c11_1: float
-    c12_1: float
-    c22_1: float
-    c11_2: float
-    c12_2: float
-    c22_2: float
-    L: float
-    M: float
-    N: float
-    k: float
-    kappa_normal: float
-    K: float
-    H: Vec4M
-    H1: float
-    H2: float
+    __slots__ = ("u", "v", "z", "z_u", "z_v", "z_uu", "z_uv", "z_vv",
+                 "E", "F", "G", "W", "n1", "n2",
+                 "c11_1", "c12_1", "c22_1", "c11_2", "c12_2", "c22_2",
+                 "L", "M", "N", "k", "kappa_normal", "K", "H", "H1", "H2")
+
+    def __init__(self, u: float, v: float, z: Vec4M, z_u: Vec4M, z_v: Vec4M,
+                 z_uu: Vec4M, z_uv: Vec4M, z_vv: Vec4M, E: float, F: float,
+                 G: float, W: float, n1: Vec4M, n2: Vec4M, c11_1: float,
+                 c12_1: float, c22_1: float, c11_2: float, c12_2: float,
+                 c22_2: float, L: float, M: float, N: float, k: float,
+                 kappa_normal: float, K: float, H: Vec4M, H1: float,
+                 H2: float):
+        self.u, self.v = u, v
+        self.z, self.z_u, self.z_v = z, z_u, z_v
+        self.z_uu, self.z_uv, self.z_vv = z_uu, z_uv, z_vv
+        self.E, self.F, self.G, self.W = E, F, G, W
+        self.n1, self.n2 = n1, n2
+        self.c11_1, self.c12_1, self.c22_1 = c11_1, c12_1, c22_1
+        self.c11_2, self.c12_2, self.c22_2 = c11_2, c12_2, c22_2
+        self.L, self.M, self.N = L, M, N
+        self.k, self.kappa_normal, self.K = k, kappa_normal, K
+        self.H, self.H1, self.H2 = H, H1, H2
 
     def h_dot_h(self) -> float:
         """<H, H> from the frame components; exact for H in span{n1, n2}."""
@@ -294,12 +311,10 @@ def point_data(patch: SurfacePatch, u: float, v: float,
                lines: Optional[LineJets] = None) -> PointData:
     """Compute all pointwise geometry at an interior point, in the patch's
     own frame if it has one (see :func:`point_data_from_derivatives` for
-    how it is checked), else in the canonical frame.  ``lines`` are the
-    patch's line jets at (u, v), when the caller has evaluated them
-    already (see :func:`jet_eval_surface`)."""
+    how it is checked), else in the canonical frame.  ``lines`` are as
+    for :func:`jet_eval_surface`; (u, v) is checked once either way."""
     if lines is None and patch.lines is not None:
-        _check_domain(patch, u, v)     # before the profiles are evaluated
-        lines = patch.lines(u, v)
+        lines = checked_lines(patch, u, v)
     jets = jet_eval_surface(patch, u, v, lines)
     return point_data_from_derivatives(
         u, v, jets.value(), jets.d_u(), jets.d_v(),

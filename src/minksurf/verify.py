@@ -17,7 +17,6 @@ the observed noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -38,15 +37,20 @@ from .meridian import (MTFamilyParams, ProfileCurvePhi, ProfilePair,
                        profile_u, profile_v)  # noqa: F401
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    claim_id: str
-    max_residual: float
-    threshold: float
-    worst_point: tuple[float, float]
-    samples: int
-    details: dict = field(default_factory=dict)
-    failure: str = ""   # why the claim fails whatever the residual
+    __slots__ = ("claim_id", "max_residual", "threshold", "worst_point",
+                 "samples", "details", "failure")
+
+    def __init__(self, claim_id: str, max_residual: float, threshold: float,
+                 worst_point: tuple[float, float], samples: int,
+                 details: dict | None = None, failure: str = ""):
+        self.claim_id = claim_id
+        self.max_residual = max_residual
+        self.threshold = threshold
+        self.worst_point = worst_point
+        self.samples = samples
+        self.details = {} if details is None else details
+        self.failure = failure   # why the claim fails whatever the residual
 
     @property
     def passed(self) -> bool:
@@ -153,12 +157,14 @@ def verify_closed_form_invariants(patch: SurfacePatch, grid: GridSpec,
 
 
 def verify_marginally_trapped(patch: SurfacePatch, grid: GridSpec,
-                              tol: float = 1e-9) -> VerificationReport:
+                              tol: float = 1e-9,
+                              claim_id: str = "lightlike-mean-curvature"
+                              ) -> VerificationReport:
     """Normalized |<H,H>| over the grid, and the smallest |H| observed.
 
     The residual at a point is |<H,H>| / max(H1^2 + H2^2, 1e-30); the
     report also carries min (H1^2 + H2^2)^(1/2) so callers can assert
-    H != 0 separately.
+    H != 0 separately.  ``claim_id`` names the claim in the report.
     """
     us, vs = grid.lines()
     p = point_data(patch, us, vs)
@@ -166,7 +172,7 @@ def verify_marginally_trapped(patch: SurfacePatch, grid: GridSpec,
     res = abs(p.h_dot_h()) / np.maximum(scale, 1e-30)
     shape = (us.size, vs.size)
     min_h = float(np.min(np.sqrt(np.broadcast_to(scale, shape))))
-    return _grid_report("lightlike-mean-curvature", res, us, vs, tol,
+    return _grid_report(claim_id, res, us, vs, tol,
                         details={"min_H_norm": min_h})
 
 
@@ -335,15 +341,15 @@ def claim_suite(tol: float = 1e-9) -> list[VerificationReport]:
                                domain=Interval(0.0, two_pi))
     mt_patch = build_parabolic(mt_prof, phi_unit)
     mt_grid = GridSpec(100, 20, Interval(0.2, 3.0), Interval(0.0, two_pi))
-    reports.append(replace(verify_marginally_trapped(mt_patch, mt_grid, tol),
-                           claim_id="general-family-lightlike-H"))
+    reports.append(verify_marginally_trapped(
+        mt_patch, mt_grid, tol, claim_id="general-family-lightlike-H"))
 
     phi_cos = ProfileCurvePhi(phi=lambda j: -2.0 * _j.cos(j),
                               domain=Interval(1.7, 4.5))
     cone = mt_cone_patch(-0.5, 0.0, phi_cos, u_range=Interval(0.2, 4.0))
     cone_grid = GridSpec.for_patch(cone, 40, 40)
-    reports.append(replace(verify_marginally_trapped(cone, cone_grid, tol),
-                           claim_id="cone-family-lightlike-H"))
+    reports.append(verify_marginally_trapped(
+        cone, cone_grid, tol, claim_id="cone-family-lightlike-H"))
 
     reports.append(verify_ode_chain(mt_params, tol=tol))
     reports.append(verify_constant_section_curvature(3.0, 4.0, 0.0,

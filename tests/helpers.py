@@ -34,6 +34,13 @@ def row_format(n: int, sep: str = ",") -> str:
     return sep.join(["%.17g"] * n) + "\n"
 
 
+def replaced(obj, **changes):
+    """A copy of a value object (a slotted class whose constructor takes
+    its slots as keywords) with ``changes`` to some of its fields."""
+    fields = {name: getattr(obj, name) for name in type(obj).__slots__}
+    return type(obj)(**{**fields, **changes})
+
+
 def flat_points(grid) -> tuple:
     """The points of ``grid.points()`` as flat u and v arrays, in the
     same order: its (nu, 1) column and (1, nv) row broadcast together."""

@@ -6,7 +6,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -28,7 +27,7 @@ from minksurf.verify import (GridSpec, verify_case1_hyperplane,
                              verify_meridian_planarity, verify_ode_chain)
 
 from fd_oracle import fd_point_data
-from helpers import random_parabolic_patch
+from helpers import random_parabolic_patch, replaced
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,7 +238,7 @@ def test_criterion_09_meridian_planarity():
         return Jet2Vec4(z.x1, z.x2, z.x3 + 1e-3 * jets.sin(ju), z.x4)
 
     control = verify_meridian_planarity(
-        replace(base, immersion=bent, frame=None, lines=None), 0.4,
+        replaced(base, immersion=bent, frame=None, lines=None), 0.4,
         tol=1e-10)
     ok = worst <= 1e-10 and not control.passed
     report(9, f"meridians stay in their lightlike planes (3 families x 3 "
@@ -268,7 +267,7 @@ def test_criterion_10_engine_cross_validation(random_patches):
     base = point_data(patch, u, v)
     for f1, f2 in ((-1, 1), (1, -1), (-1, -1)):
         flipped = (base.n1.scale(f1), base.n2.scale(f2))
-        flip = point_data(replace(patch, frame=lambda lines: flipped), u, v)
+        flip = point_data(replaced(patch, frame=lambda lines: flipped), u, v)
         worst_flip = max(
             worst_flip,
             abs(base.k - flip.k), abs(base.K - flip.K),

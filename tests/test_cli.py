@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -607,6 +608,23 @@ class TestAtomicOutput:
         assert out.read_text().splitlines()[0] == "v,phi,kappa_bar"
         assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
+    @pytest.mark.parametrize("obj", ["same", "../out/same"])
+    def test_one_file_for_csv_and_obj_is_refused(self, tmp_path, capsys,
+                                                 obj):
+        # Both targets resolve to one file, so one would replace the
+        # other: refused before anything is written.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "same").write_bytes(b"earlier output\n")
+        argv = ["sample", "--f-expr", "u", "--g-expr=-u", "--phi-expr", "2",
+                "--u", "0.5:2:3", "--v", "0:1:3", "--csv", str(out / "same"),
+                "--obj", str(out / obj)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: CSV and OBJ would both be written to {out / obj}\n")
+        assert (out / "same").read_bytes() == b"earlier output\n"
+        assert [p.name for p in out.iterdir()] == ["same"]
+
     def test_unwritable_directory_names_the_target(self, tmp_path, capsys):
         target = tmp_path / "no" / "dir.csv"
         assert run_cli(MT_ARGS + ["--u", "0.2:3:3", "--v", "0:6.283:3",
@@ -667,3 +685,40 @@ class TestBlasThreads:
 
     def test_explicit_setting_wins(self):
         assert self.run_import("2")[0] == "2"
+
+
+def test_each_subcommand_imports_only_what_it_runs(tmp_path):
+    """In one fresh interpreter: ``import minksurf.cli`` loads no
+    dataclasses, verify no table writer (minksurf._fmt17, loaded by the
+    first write) and only sample the expression grammar (minksurf.expr,
+    loaded by the first expression)."""
+    cli_modules = ["minksurf", "minksurf.cli", "minksurf.errors",
+                   "minksurf.exporters", "minksurf.jets", "minksurf.meridian",
+                   "minksurf.minkowski", "minksurf.surface", "minksurf.verify"]
+    runs = [
+        (["verify", "--suite", "paper"], cli_modules),
+        (MT_ARGS + ["--u", "0.2:3:4", "--v", "0:6.283:4",
+                    "--csv", str(tmp_path / "f.csv")],
+         cli_modules + ["minksurf._fmt17"]),
+        (["sample", "--f-expr", "u", "--g-expr=-u", "--phi-expr", "2",
+          "--u", "0.5:2:3", "--v", "0:1:3", "--csv", str(tmp_path / "s.csv"),
+          "--obj", str(tmp_path / "s.obj")],
+         cli_modules + ["minksurf._fmt17", "minksurf.expr"]),
+    ]
+    report = tmp_path / "modules.json"
+    code = ("import json, pathlib, sys\n"
+            "before = set(sys.modules)\n"
+            "from minksurf.cli import run_cli\n"
+            "added = 'dataclasses' in set(sys.modules) - before\n"
+            "loaded = []\n"
+            f"for argv in {[argv for argv, _ in runs]!r}:\n"
+            "    loaded.append((run_cli(argv), sorted(\n"
+            "        m for m in sys.modules if m.startswith('minksurf'))))\n"
+            f"pathlib.Path({str(report)!r}).write_text(\n"
+            "    json.dumps([added, loaded]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(minksurf.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True, text=True)
+    added, loaded = json.loads(report.read_text())
+    assert not added
+    assert loaded == [[0, sorted(modules)] for _, modules in runs]

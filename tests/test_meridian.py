@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -453,8 +452,8 @@ class TestClosedFormsAgainstEngine:
 
 def _bits(x):
     """Every float of a PointData, Jet2Vec4 or Vec4M as exact hex bits."""
-    if dataclasses.is_dataclass(x):
-        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if hasattr(type(x), "__slots__"):
+        return tuple(_bits(getattr(x, name)) for name in type(x).__slots__)
     if isinstance(x, np.ndarray):
         return tuple(float(y).hex() for y in x)
     return float(x).hex()

@@ -1,16 +1,16 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksurf import jets, surface
+from minksurf import expr, jets, surface
 from minksurf.errors import (AdmissibilityError, DegenerateFrame, DomainError,
                              NotSpacelike)
 from minksurf.expr import compile_profile
+from minksurf.exporters import export_grid
 from minksurf.jets import Jet2, Jet2Vec4
 from minksurf.minkowski import (E1, E2, E3, E4, ZERO, CausalCharacter,
                                 NullFrameCoords, Vec4M, causal_character,
@@ -19,13 +19,15 @@ from minksurf.surface import (GridSpec, Interval, PointData, Rect,
                               SurfacePatch, is_marginally_trapped,
                               jet_eval_surface, normal_frame, point_data,
                               point_data_from_derivatives)
-from minksurf.meridian import (ProfileCurvePhi, ProfilePair, build_parabolic,
+from minksurf.meridian import (ClosedForms, LineJets, PlaneSection,
+                               ProfileCurvePhi, ProfilePair, build_parabolic,
                                mt_cone_patch, mt_general_profile,
                                MTFamilyParams, parabolic_closed_forms)
+from minksurf.verify import VerificationReport
 
 from fd_oracle import fd_point_data
 from helpers import (flat_points, nan_near, random_parabolic_patch,
-                     reproducer_pair)
+                     replaced, reproducer_pair)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -292,7 +294,7 @@ class TestFrameIndependence:
         patch = build_parabolic(fp, phi)
         base = point_data(patch, 1.2, 0.8)
         pair = (base.n1.scale(flip1), base.n2.scale(flip2))
-        flipped = point_data(replace(patch, frame=lambda lines: pair), 1.2, 0.8)
+        flipped = point_data(replaced(patch, frame=lambda lines: pair), 1.2, 0.8)
         odd = flip1 * flip2 < 0
         assert abs(base.k - flipped.k) <= 1e-12
         assert abs(base.K - flipped.K) <= 1e-12
@@ -310,7 +312,7 @@ class TestFrameIndependence:
 
     def test_invalid_frame_rejected(self, flat_patch):
         with pytest.raises(DegenerateFrame):
-            point_data(replace(flat_patch, frame=lambda lines: (E1, E4)),
+            point_data(replaced(flat_patch, frame=lambda lines: (E1, E4)),
                        1.0, 0.0)
         j = jet_eval_surface(flat_patch, 1.0, 0.0)
         with pytest.raises(DegenerateFrame):
@@ -536,7 +538,7 @@ class TestErrorsCarryTheirPoint:
         # The canonical frame at v = 0.5 is valid there and not at v = 1.5.
         j = jet_eval_surface(flat_patch, 1.0, 0.5)
         frame = normal_frame(j.d_u(), j.d_v())
-        fixed = replace(flat_patch, frame=lambda lines: frame)
+        fixed = replaced(flat_patch, frame=lambda lines: frame)
         us = np.full(3, 1.0)
         vs = np.array([0.5, 1.5, 2.5])
         point_data(fixed, 1.0, 0.5)
@@ -552,7 +554,8 @@ class TestErrorsCarryTheirPoint:
 
 
 class TestValueTypes:
-    """The engine's value types are slotted: no per-instance __dict__."""
+    """The engine's value types are plain slotted classes: no per-instance
+    __dict__, and no dataclass."""
 
     def test_slotted(self, flat_patch):
         jet = Jet2.seed_u(1.0)
@@ -564,6 +567,31 @@ class TestValueTypes:
             assert type(obj) is cls
             assert "__slots__" in vars(cls), cls.__name__
             assert not hasattr(obj, "__dict__"), cls.__name__
+        for cls in (Interval, Rect, GridSpec, SurfacePatch, ProfilePair,
+                    ProfileCurvePhi, LineJets, ClosedForms, PlaneSection,
+                    MTFamilyParams, VerificationReport, expr._Token):
+            assert "__slots__" in vars(cls), cls.__name__
+            assert not hasattr(cls, "__dataclass_fields__"), cls.__name__
+
+    def test_read_only_where_the_constructor_checks(self):
+        section = PlaneSection(0.0, 0.0, -0.5)
+        for obj, name in ((Interval(0.0, 1.0), "lo"),
+                          (GridSpec(2, 2, Interval(0.0, 1.0),
+                                    Interval(0.0, 1.0)), "u_samples"),
+                          (section, "C"),
+                          (MTFamilyParams(-1.0, 0.0, 1.0, section=section),
+                           "a")):
+            with pytest.raises(AttributeError, match=f"field '{name}'"):
+                setattr(obj, name, 2.0)
+            with pytest.raises(AttributeError, match=f"field '{name}'"):
+                delattr(obj, name)
+
+    def test_vectors_compare_by_coordinates(self):
+        assert Vec4M(0.0, 0.0, 0.0, 1.0) == E4
+        assert Vec4M(0.0, 0.0, 0.0, 2.0) != E4
+        assert E4 != (0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(TypeError):
+            hash(E4)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +622,7 @@ def _field_arrays(record, n) -> dict[str, np.ndarray]:
     n points (or to a block shape) and flattened; vectors contribute their
     four coordinates and jets their six slots."""
     out = {}
-    for name in record.__dataclass_fields__:
+    for name in type(record).__slots__:
         value = getattr(record, name)
         if isinstance(value, Vec4M):
             parts = value.coords()
@@ -760,7 +788,8 @@ class TestArrayEngine:
             parabolic_closed_forms(fp, phi, *flat_points(grid))
         assert str(err.value) == message
 
-    def test_domain_errors_name_the_first_failing_value(self, flat_patch):
+    def test_domain_errors_name_the_first_failing_value(self, flat_patch,
+                                                        tmp_path):
         x = Jet2.seed_u(np.array([1.0, -2.0, 3.0, -4.0]))
         with pytest.raises(DomainError, match=r"argument -2\.0 violates"):
             jets.sqrt(x)
@@ -771,6 +800,36 @@ class TestArrayEngine:
         with pytest.raises(DomainError) as one:
             jet_eval_surface(flat_patch, 1.0, 9.0)
         assert str(err.value) == str(one.value)
+        # Leaving v at (1, 9) first, then u at (3, 0): point_data on the
+        # grid's column and row, and an export, which checks the grid
+        # before its line jets and passes them to each block (lines=).
+        grid = GridSpec(3, 3, Interval(1.0, 3.0), Interval(0.0, 9.0))
+        with pytest.raises(DomainError) as block:
+            point_data(flat_patch, *grid.lines())
+        with pytest.raises(DomainError) as export:
+            export_grid(flat_patch, grid, csv=str(tmp_path / "d.csv"))
+        with pytest.raises(DomainError) as first:
+            point_data(flat_patch, 1.0, 9.0)
+        assert str(block.value) == str(export.value) == str(first.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_call_checks_the_domain_once(self, flat_patch, tmp_path,
+                                              monkeypatch):
+        calls = []
+        check = surface._check_domain
+        monkeypatch.setattr(surface, "_check_domain",
+                            lambda *args: calls.append(args) or check(*args))
+        generic = SurfacePatch(flat_patch.immersion, flat_patch.domain)
+        grid = GridSpec(4, 3, Interval(1.0, 2.0), Interval(0.0, 1.0))
+        for run in (lambda: point_data(flat_patch, 1.0, 0.5),
+                    lambda: point_data(generic, 1.0, 0.5),
+                    lambda: jet_eval_surface(flat_patch, 1.0, 0.5),
+                    lambda: point_data(flat_patch, *grid.lines()),
+                    lambda: export_grid(flat_patch, grid,
+                                        csv=str(tmp_path / "g.csv"))):
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
     def test_marginally_trapped_is_element_wise(self):
         patch = mt_cone_patch(-0.5, 0.0, unit_phi())

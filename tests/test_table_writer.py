@@ -1,16 +1,10 @@
 """The exporters' table writer against ``'%.17g' %``, bit for bit."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import minksurf
 from minksurf import _fmt17
 from minksurf._fmt17 import table_text
 from minksurf.cli import run_cli
@@ -167,17 +161,3 @@ def test_fast_path_certifies_the_family_table(tmp_path):
     _, _, slow = _fmt17._decimal(table.ravel())
     assert slow.size <= 0.01 * table.size
 
-
-def test_verify_does_not_import_the_table_writer(tmp_path):
-    # The writer's tables are built on the first export, not at import.
-    section = ["section", "--A", "1", "--B", "0", "--C", "-1",
-               "--samples", "5", "--csv", str(tmp_path / "s.csv")]
-    code = ("import sys\n"
-            "from minksurf.cli import run_cli\n"
-            "assert run_cli(['verify', '--suite', 'paper']) == 0\n"
-            "assert 'minksurf._fmt17' not in sys.modules\n"
-            f"assert run_cli({section!r}) == 0\n"
-            "assert 'minksurf._fmt17' in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(minksurf.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   capture_output=True, text=True)

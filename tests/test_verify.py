@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from minksurf.verify import (GridSpec, VerificationReport, claim_suite,
                              verify_meridian_planarity, verify_ode_chain,
                              verify_second_fundamental_form)
 
-from helpers import random_parabolic_patch, reproducer_pair
+from helpers import random_parabolic_patch, replaced, reproducer_pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -296,7 +295,7 @@ def _bent_copy(patch: SurfacePatch) -> SurfacePatch:
         z = patch.immersion(ju, jv)
         return Jet2Vec4(z.x1, z.x2, z.x3 + 1e-3 * jets.sin(ju), z.x4)
 
-    return replace(patch, immersion=bent, frame=None, lines=None)
+    return replaced(patch, immersion=bent, frame=None, lines=None)
 
 
 class TestNegativeControls:
