@@ -22,6 +22,8 @@ import math
 import sys
 from functools import partial
 
+import numpy as np
+
 from .errors import Error, UsageError
 from .meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                        ProfilePair, RootBranch, SignBranch, build_parabolic,
@@ -209,10 +211,14 @@ def _cmd_section(args) -> int:
     root = _parse_branch(args.root, RootBranch, "--root")
     phi = plane_section_phi(args.A, args.B, args.C, root)
     curvature = plane_section_curvature(args.A, args.B, args.C, root)
-    vs = phi.domain.linspace(args.samples, inset=0.02)
-    # One float jet per sample feeds both the curvature and the CSV row.
-    phis = [profile_v(phi.phi, v) for v in vs]
-    values = [kappa_bar_of_jet(pj, v) for pj, v in zip(phis, vs)]
+    vs = np.array(phi.domain.linspace(args.samples, inset=0.02))
+    # One jet of all samples feeds both the curvatures and the CSV rows;
+    # an overflow gives inf or NaN, which the checks name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pj = profile_v(phi.phi, vs)
+        kb = kappa_bar_of_jet(pj, vs)
+    # Python's sum adds in sample order; np.sum pairs, with other bits.
+    values = kb.tolist()
     mean = sum(values) / len(values)
     print(f"domain: [{exporters.fmt(phi.domain.lo)}, {exporters.fmt(phi.domain.hi)}]")
     print(f"curvature: {exporters.fmt(curvature)}")
@@ -222,7 +228,7 @@ def _cmd_section(args) -> int:
     if args.csv:
         rows = exporters.write_csv(
             args.csv, "v,phi,kappa_bar",
-            [[(v, pj.val, kb) for v, pj, kb in zip(vs, phis, values)]])
+            [np.column_stack((vs, pj.val, kb))])
         print(f"wrote {rows} rows to {args.csv}", file=sys.stderr)
     return 0
 

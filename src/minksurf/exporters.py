@@ -25,9 +25,9 @@ whole u lines of about :data:`BLOCK_POINTS` points:
   their targets only after the whole pass succeeds, so a run that fails
   leaves neither file and does not touch a file already at a target.
 
-The bytes are those of one float call and one ``%`` per point, and an
-error names the first failing point in row-major order, as one call per
-point would: a block that fails is evaluated again point by point.
+The bytes are those of one ``%`` per value, whatever the blocks, and an
+error names the first failing point in row-major order: a block that
+fails is evaluated again point by point.
 Memory grows with the block, not with the grid, apart from the line jets,
 which grow with nu + nv.
 
@@ -109,8 +109,8 @@ def _blocks(us: np.ndarray, row: np.ndarray, k: int, lines, evaluate):
     the grid's line jets ``lines`` (None for a generic patch).  Broadcast
     with the (1, nv) row of v samples, U gives the block's points in
     row-major order.  A block that raises an :class:`Error` is evaluated
-    again one float point at a time, so the error raised is the one of
-    the first failing point.
+    again one point at a time, so the error raised is the one of the
+    first failing point.
     """
     for i in range(0, len(us), k):
         block_us = us[i:i + k]
@@ -119,9 +119,10 @@ def _blocks(us: np.ndarray, row: np.ndarray, k: int, lines, evaluate):
                              None if lines is None
                              else lines.u_rows(slice(i, i + k)))
         except Error:
-            for u in block_us.ravel().tolist():
-                for v in row.ravel().tolist():
-                    evaluate(u, v)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for u in block_us:
+                    for v in row.T:
+                        evaluate(u, v)
             raise
         yield block_us, block
 

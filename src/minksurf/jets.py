@@ -10,11 +10,12 @@ variable's slots stay identically zero.
 Mixed partials occupy a single ``duv`` slot; symmetry of second derivatives
 is built into the representation rather than checked after the fact.
 
-Slots hold Python floats (one point) or float64 arrays that broadcast
-together (many points); the same code serves both, with ``math`` or
-``numpy`` looked up by :func:`~minksurf.minkowski.elementary`, and an
-array slot holds the bits the one-point jets would.  A domain guard fails
-if any element fails and names the first failing value.
+Slots are numpy values: float64 arrays that broadcast together, one
+element per point (a float argument evaluates as a numpy value).  ``exp``,
+``ln`` and every real power map ``math`` over the elements
+(:data:`~minksurf.minkowski.OPS`), so each element has the bits of one
+``math`` call.  A domain guard fails if any element fails and names the
+first failing value.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .minkowski import Vec4M, elementary, first_failure
+from .minkowski import OPS, Vec4M, first_failure
 
 Scalar = Union[int, float]
 
@@ -131,20 +132,18 @@ def _require(func: str, failed, x: Jet2, requirement: str) -> None:
 
 
 def sin(x: Jet2) -> Jet2:
-    ops = elementary(x.val)
-    s, c = ops.sin(x.val), ops.cos(x.val)
+    s, c = OPS.sin(x.val), OPS.cos(x.val)
     return _chain(x, s, c, -s)
 
 
 def cos(x: Jet2) -> Jet2:
-    ops = elementary(x.val)
-    s, c = ops.sin(x.val), ops.cos(x.val)
+    s, c = OPS.sin(x.val), OPS.cos(x.val)
     return _chain(x, c, -s, -c)
 
 
 def sqrt(x: Jet2) -> Jet2:
     _require("sqrt", x.val <= 0.0, x, "argument > 0")
-    r = elementary(x.val).sqrt(x.val)
+    r = OPS.sqrt(x.val)
     inv = 0.5 / r
     return _chain(x, r, inv, -0.5 * inv / x.val)
 
@@ -152,30 +151,22 @@ def sqrt(x: Jet2) -> Jet2:
 def ln(x: Jet2) -> Jet2:
     _require("ln", x.val <= 0.0, x, "argument > 0")
     inv = 1.0 / x.val
-    return _chain(x, elementary(x.val).log(x.val), inv, -inv * inv)
+    return _chain(x, OPS.log(x.val), inv, -inv * inv)
 
 
 def _in_float_range(func: str, x: Jet2, requirement: str, compute) -> tuple:
     """``compute()``, or DomainError at the first finite argument with an
-    infinite result: math and float ``**`` raise on one point and give inf
-    on arrays, and ``*`` gives inf on both."""
-    if isinstance(x.val, np.ndarray):
-        with np.errstate(over="ignore"):
-            results = compute()
-        overflow = np.any(np.isinf(results), axis=0)
-    else:
-        try:
-            results = compute()
-            overflow = math.inf in map(abs, results)
-        except OverflowError:
-            results, overflow = (), True
+    infinite result (an overflow gives inf)."""
+    with np.errstate(over="ignore"):
+        results = compute()
+    overflow = np.any(np.isinf(results), axis=0)
     _require(func, overflow & (abs(x.val) < math.inf), x, requirement)
     return results
 
 
 def exp(x: Jet2) -> Jet2:
     e, = _in_float_range("exp", x, "exp(x) within float range",
-                         lambda: (elementary(x.val).exp(x.val),))
+                         lambda: (OPS.exp(x.val),))
     return _chain(x, e, e, e)
 
 
@@ -188,12 +179,11 @@ def reciprocal(x: Jet2) -> Jet2:
 def powr(x: Jet2, p: float) -> Jet2:
     """x**p for a real exponent; requires x > 0."""
     _require("pow-by-real", x.val <= 0.0, x, "argument > 0")
-    pw = elementary(x.val).pow
     f0, f1, f2 = _in_float_range(
         "pow-by-real", x,
         f"x**{p!r} and its derivatives within float range",
-        lambda: (pw(x.val, p), p * pw(x.val, p - 1.0),
-                 p * (p - 1.0) * pw(x.val, p - 2.0)))
+        lambda: (OPS.pow(x.val, p), p * OPS.pow(x.val, p - 1.0),
+                 p * (p - 1.0) * OPS.pow(x.val, p - 2.0)))
     return _chain(x, f0, f1, f2)
 
 
@@ -215,7 +205,7 @@ def log_abs(x: Jet2) -> Jet2:
     """ln |x| for x != 0; d/dx ln|x| = 1/x on either side of zero."""
     _require("log-abs", x.val == 0.0, x, "argument != 0")
     inv = 1.0 / x.val
-    return _chain(x, elementary(x.val).log(abs(x.val)), inv, -inv * inv)
+    return _chain(x, OPS.log(abs(x.val)), inv, -inv * inv)
 
 
 class Jet2Vec4:

@@ -17,9 +17,10 @@ paraboloid that carries every generating curve, and its
 constant-curvature plane sections.
 
 Profile functions are callables on :class:`~minksurf.jets.Jet2` values, so
-every geometric quantity below is differentiated exactly.  The line
-jets, kappa_m, kappa_bar and the closed forms take u and v as floats or
-as arrays that broadcast together, like the surface engine.
+every geometric quantity below is differentiated exactly.  A profile must
+accept jets whose slots are arrays: the line jets, kappa_m, kappa_bar and
+the closed forms take u and v as arrays that broadcast together, like the
+surface engine, and a float argument evaluates as a numpy value.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 from . import jets
 from .errors import AdmissibilityError, CurvatureMismatch, Error, ParamError
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
-from .minkowski import (XI1, NullFrameCoords, Vec4M, elementary,
-                        first_failure, from_null_frame)
+from .minkowski import (OPS, XI1, NullFrameCoords, Vec4M, first_failure,
+                        from_null_frame)
 from .surface import Interval, Rect, SurfacePatch, _read_only
 
 ProfileFn = Callable[[Jet2], Jet2]
@@ -112,7 +113,7 @@ def kappa_m(fp: ProfilePair, u: float) -> float:
 
 
 def _kappa_m(fj: Jet2, gj: Jet2, e: float) -> float:
-    return (fj.du * gj.duu - gj.du * fj.duu) / e ** 1.5
+    return (fj.du * gj.duu - gj.du * fj.duu) / OPS.pow(e, 1.5)
 
 
 def kappa_bar(phi: ProfileCurvePhi, v: float) -> float:
@@ -127,7 +128,8 @@ def kappa_bar_of_jet(pj: Jet2, v: float) -> float:
 
 
 def _kappa_bar(pj: Jet2, q: float) -> float:
-    return (pj.val * pj.dvv - 2.0 * pj.dv * pj.dv - pj.val * pj.val) / q ** 1.5
+    return ((pj.val * pj.dvv - 2.0 * pj.dv * pj.dv - pj.val * pj.val)
+            / OPS.pow(q, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +188,17 @@ def _v_jets(phi: ProfileCurvePhi, v) -> tuple[Jet2, Jet2, Jet2]:
     return pj, jets.cos(jv), jets.sin(jv)
 
 
-def _first_failing_sample(evaluate, profile, x) -> tuple:
+def _first_failing_sample(evaluate, profile, x):
     """``evaluate(profile, x)`` in one pass.  A pass that fails is run
     again one sample at a time, so the error names the first failing
     sample.  Overflow gives inf or NaN, which fail."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             return evaluate(profile, x)
-    except Error:
-        for s in np.ravel(x).tolist():
-            evaluate(profile, s)
-        raise
+        except Error:
+            for s in np.ravel(x)[:, None]:
+                evaluate(profile, s)
+            raise
 
 
 def line_jets(fp: ProfilePair, phi: ProfileCurvePhi, u, v) -> LineJets:
@@ -222,16 +224,15 @@ def parabolic_normal_frame():
         fj, gj, pj = lines.f, lines.g, lines.phi
         sv, cv = lines.sin.val, lines.cos.val
         q = pj.dv * pj.dv + pj.val * pj.val
-        ops = elementary(fj.du, gj.du, q)
         # Flipping n1 with the sign of f' keeps {z_u, z_v, n1, n2}
         # positively oriented on both admissibility branches.
-        r = ops.copysign(1.0, fj.du) / ops.sqrt(q)
+        r = OPS.copysign(1.0, fj.du) / OPS.sqrt(q)
         n1 = from_null_frame(NullFrameCoords(
             (pj.dv * sv + pj.val * cv) * r,
             (-pj.dv * cv + pj.val * sv) * r,
             pj.val * pj.val * r,
             0.0))
-        d = ops.sqrt(-fj.du / (2.0 * gj.du))
+        d = OPS.sqrt(-fj.du / (2.0 * gj.du))
         n2 = from_null_frame(NullFrameCoords(
             pj.val * cv * d,
             pj.val * sv * d,
@@ -252,10 +253,8 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi) -> SurfacePatch:
     engine builds the immersion jets, and the family-adapted normal frame
     of those jets; ``immersion`` takes jets of any parametrisation.
     """
-    for u in fp.domain.linspace(_CHECK_SAMPLES):
-        _u_jets(fp, u)
-    for v in phi.domain.linspace(_CHECK_SAMPLES):
-        _phi_q(profile_v(phi.phi, v), v)
+    line_jets(fp, phi, np.array(fp.domain.linspace(_CHECK_SAMPLES)),
+              np.array(phi.domain.linspace(_CHECK_SAMPLES)))
 
     def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
         return LineJets(fp.f(ju), fp.g(ju), phi.phi(jv), jets.cos(jv),
@@ -271,8 +270,8 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi) -> SurfacePatch:
 
 
 class ClosedForms:
-    """Reduced expressions for the parabolic family at one point, or at
-    each point of equal-length (u, v) arrays."""
+    """Reduced expressions for the parabolic family at each point of
+    (u, v) arrays that broadcast together."""
 
     __slots__ = ("E", "F", "G", "L", "M", "N", "k", "kappa_normal", "K",
                  "H1", "H2")
@@ -308,10 +307,9 @@ def parabolic_closed_forms(fp: ProfilePair, phi: ProfileCurvePhi,
     kb = _kappa_bar(pj, q)
     f = fj.val
     g = f * f * q
-    ops = elementary(u, v)
-    w = ops.sqrt(e * g)
-    sgn = ops.copysign(1.0, fj.du)
-    root_e = ops.sqrt(e)
+    w = OPS.sqrt(e * g)
+    sgn = OPS.copysign(1.0, fj.du)
+    root_e = OPS.sqrt(e)
     return ClosedForms(
         E=e, F=0.0, G=g,
         L=0.0,
@@ -444,10 +442,9 @@ def mt_cone_patch(a: float, b: float, phi: ProfileCurvePhi,
     if a >= 0.0:
         raise ParamError(f"a must be negative, got {a!r}")
     target = -1.0 / (2.0 * a)
-    worst = 0.0
-    for v in phi.domain.linspace(201):
-        kb = kappa_bar(phi, v)
-        worst = max(worst, abs(kb * kb - target))
+    kb = _first_failing_sample(kappa_bar, phi,
+                               np.array(phi.domain.linspace(201)))
+    worst = max([0.0, *np.ravel(abs(kb * kb - target)).tolist()])
     if worst > 1e-9:
         raise CurvatureMismatch(worst)
     fp = ProfilePair(f=lambda ju: ju,
@@ -463,7 +460,7 @@ def mt_cone_patch(a: float, b: float, phi: ProfileCurvePhi,
 def paraboloid_point(w1: float, w2: float) -> Vec4M:
     """Point of the lightlike-axis paraboloid; self inner product is 0."""
     return from_null_frame(NullFrameCoords(
-        w1 * math.cos(w2), w1 * math.sin(w2), w1 * w1 / 2.0, 1.0))
+        w1 * OPS.cos(w2), w1 * OPS.sin(w2), w1 * w1 / 2.0, 1.0))
 
 
 def _theta_jet(a: float, b: float, jv: Jet2) -> Jet2:

@@ -9,12 +9,13 @@ basis {e1, e2, xi1, xi2} with two lightlike legs
 
 is used by the rotational constructions with lightlike axis.
 
-Coordinates, and every scalar computed from them, are either Python
-floats (one point) or float64 arrays that broadcast together (many
-points).  The same lines of code serve both: :func:`elementary` looks up
-``math`` or ``numpy``, and :func:`first_failure` lets a guard fail if any
-element fails, naming the first failing element as a one-point call would.
-An array result equals the one-point results bit for bit.
+Coordinates, and every scalar computed from them, are numpy values:
+float64 arrays that broadcast together, one element per point.  A float
+argument evaluates as a numpy value too.  :data:`OPS` is the table of
+numpy functions the engine uses, except that ``exp``, ``log`` and every
+real power map ``math`` over the elements, so each element has the bits
+of one ``math`` call.  :func:`first_failure` lets a guard fail if any
+element fails, naming the first failing element in row-major order.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ from .errors import Error
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# Elementary functions for one point and for arrays of points.  ``pow``
-# is float ``**`` with a real exponent.  ``where`` picks element-wise
-# between floats, arrays or whole vectors.
-_FLOAT_OPS = SimpleNamespace(
-    sin=math.sin, cos=math.cos, exp=math.exp, log=math.log, sqrt=math.sqrt,
-    pow=pow, copysign=math.copysign, frexp=math.frexp, ldexp=math.ldexp,
-    hypot=math.hypot, max=max,
-    where=lambda mask, a, b: a if mask else b)
-
 
 def _inf_on_overflow(fn, x):
     try:
@@ -48,61 +40,47 @@ def _inf_on_overflow(fn, x):
 
 
 def _like_math(fn, a):
-    """``fn`` of each element of array ``a``, as one float call rounds it;
-    inf where that call overflows (an OverflowError for ``math``)."""
-    flat = a.ravel().tolist()
+    """``fn`` of each element of ``a``, as one float call rounds it; inf
+    where that call overflows (an OverflowError for ``math``)."""
+    flat = np.ravel(a).tolist()
     try:
         out = list(map(fn, flat))
     except OverflowError:
         out = [_inf_on_overflow(fn, x) for x in flat]
-    return np.array(out, dtype=float).reshape(a.shape)
+    return np.array(out, dtype=float).reshape(np.shape(a))
 
 
-def _array_where(mask, a, b):
+def _where(mask, a, b):
+    """Element-wise pick between arrays or whole vectors; a 0-d result
+    is its element, so that a one-point pick of objects is the object."""
     if isinstance(a, Vec4M):
         return Vec4M(*(np.where(mask, x, y)
                        for x, y in zip(a.coords(), b.coords())))
-    return np.where(mask, a, b)
+    return np.where(mask, a, b)[()]
 
 
 # numpy's exp, log and ** round differently from math's, so those map the
 # float functions over the elements; its sin, cos and sqrt agree bit for
-# bit with math's.
-_ARRAY_OPS = SimpleNamespace(
+# bit with math's.  ``pow`` is ``**`` with a real exponent.
+OPS = SimpleNamespace(
     sin=np.sin, cos=np.cos, sqrt=np.sqrt,
     exp=partial(_like_math, math.exp), log=partial(_like_math, math.log),
     pow=lambda a, p: _like_math(float(p).__rpow__, a),
     copysign=np.copysign, frexp=np.frexp, ldexp=np.ldexp,
     hypot=lambda *xs: reduce(np.hypot, xs),
     max=lambda *xs: reduce(np.maximum, xs),
-    where=_array_where)
-
-
-def elementary(x, *more) -> SimpleNamespace:
-    """The elementary functions for these arguments: numpy when any of
-    them is an array, else math."""
-    if isinstance(x, np.ndarray):
-        return _ARRAY_OPS
-    for y in more:
-        if isinstance(y, np.ndarray):
-            return _ARRAY_OPS
-    return _FLOAT_OPS
+    where=_where)
 
 
 def first_failure(failed, *values):
     """None when ``failed`` holds nowhere; else ``values`` at the first
     element where it holds, as Python scalars.
 
-    ``failed`` is a bool or a bool array; each value is a float or an
-    array.  Arrays are broadcast together with ``failed`` and searched in
+    ``failed`` and the values are broadcast together and searched in
     row-major order, so a (k, 1) u column and a (1, n) v row name the
     first failing point of the k x n block.
     """
-    if failed is False:     # the common case of one point that passes
-        return None
     shape = np.broadcast_shapes(np.shape(failed), *map(np.shape, values))
-    if not shape:
-        return values if failed else None
     hits = np.flatnonzero(np.broadcast_to(failed, shape))
     if not hits.size:
         return None
@@ -133,12 +111,6 @@ class Vec4M:
         self.x2 = x2
         self.x3 = x3
         self.x4 = x4
-        try:
-            if (math.isfinite(x1) and math.isfinite(x2)
-                    and math.isfinite(x3) and math.isfinite(x4)):
-                return
-        except TypeError:   # array coordinates
-            pass
         # The first point with a non-finite coordinate, then its first
         # such coordinate: the order a loop over points would find.
         coords = self.coords()
@@ -175,8 +147,7 @@ class Vec4M:
         return (self.x1, self.x2, self.x3, self.x4)
 
     def euclidean_norm(self) -> float:
-        coords = self.coords()
-        return elementary(*coords).hypot(*coords)
+        return OPS.hypot(*self.coords())
 
 
 E1 = Vec4M(1.0, 0.0, 0.0, 0.0)
@@ -208,16 +179,15 @@ def causal_character(v: Vec4M, tol: float = 1e-12) -> CausalCharacter:
     """
     if tol <= 0.0:
         raise Error(f"tolerance must be positive, got {tol!r}")
-    ops = elementary(*v.coords())
-    big = ops.max(*(abs(x) for x in v.coords()))
-    shift = -ops.frexp(big)[1]
-    w = Vec4M(*(ops.ldexp(x, shift) for x in v.coords()))
+    big = OPS.max(*(abs(x) for x in v.coords()))
+    shift = -OPS.frexp(big)[1]
+    w = Vec4M(*(OPS.ldexp(x, shift) for x in v.coords()))
     n = w.euclidean_norm()
     q = inner(w, w)
-    return ops.where(
+    return OPS.where(
         big == 0.0, CausalCharacter.ZERO,
-        ops.where(abs(q) <= tol * n * n, CausalCharacter.LIGHTLIKE,
-                  ops.where(q > 0.0, CausalCharacter.SPACELIKE,
+        OPS.where(abs(q) <= tol * n * n, CausalCharacter.LIGHTLIKE,
+                  OPS.where(q > 0.0, CausalCharacter.SPACELIKE,
                             CausalCharacter.TIMELIKE)))
 
 

@@ -18,13 +18,13 @@ patch) and else the canonical one, which projects e4 (always timelike in
 the normal space of a spacelike tangent plane) for n2 and takes n1 from
 the Minkowski cross product of z_u, z_v and n2.
 
-Everything here takes (u, v) as floats or as float64 arrays that
-broadcast together, a (k, 1) column of u and a (1, n) row of v giving a
-k x n block, and runs the same code for both (see
-:mod:`minksurf.minkowski`).  An array call computes every point at once,
-bit for bit as one-point calls would.  A check fails if it fails at any
-point, with the message a one-point call gives at the first point where
-that check fails.
+Everything here takes (u, v) as float64 arrays that broadcast together,
+a (k, 1) column of u and a (1, n) row of v giving a k x n block, and
+computes every point at once on numpy values (see
+:mod:`minksurf.minkowski`); a float argument evaluates as a numpy value.
+Each point's numbers do not depend on the block it is evaluated in.  A
+check fails if it fails at any point, naming the first point in
+row-major order where it fails.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import DegenerateFrame, DomainError, NotSpacelike, ParamError
 from .jets import Jet2, Jet2Vec4
-from .minkowski import (E4, ZERO, CausalCharacter, Vec4M, causal_character,
-                        elementary, first_failure, inner)
+from .minkowski import (E4, OPS, ZERO, CausalCharacter, Vec4M,
+                        causal_character, first_failure, inner)
 
 if TYPE_CHECKING:
     from .meridian import LineJets, ProfileCurvePhi, ProfilePair
@@ -111,15 +111,10 @@ class GridSpec:
         object.__setattr__(self, "u_range", u_range)
         object.__setattr__(self, "v_range", v_range)
 
-    def points(self):
-        for u in self.u_range.linspace(self.u_samples):
-            for v in self.v_range.linspace(self.v_samples):
-                yield u, v
-
     def lines(self) -> tuple[np.ndarray, np.ndarray]:
         """The u samples as a (nu, 1) column and the v samples as a
-        (1, nv) row.  Broadcast together they are the points of
-        :meth:`points`, in its row-major order."""
+        (1, nv) row.  Broadcast together they are the grid's points, in
+        row-major order (u outer, v inner)."""
         return (np.array(self.u_range.linspace(self.u_samples))[:, None],
                 np.array(self.v_range.linspace(self.v_samples))[None, :])
 
@@ -242,7 +237,6 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     bad = first_failure(_not_spacelike(e, det2), e, det2)
     if bad:
         raise NotSpacelike(None, None, *bad)
-    ops = elementary(e, det2)
 
     nu = _project_normal(E4, z_u, z_v, e, f, g, det2)
     q = inner(nu, nu)
@@ -251,19 +245,21 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
         raise DegenerateFrame(
             "normal space contains no timelike direction (<nu,nu>={!r})"
             .format(*bad), *bad)
-    n2 = nu.scale(1.0 / ops.sqrt(-q))
+    n2 = nu.scale(1.0 / OPS.sqrt(-q))
 
     x = _cross(z_u, z_v, n2)
-    sq = inner(x, x)
+    # inf - inf is NaN, which fails, without a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = inner(x, x)
     bad = first_failure((sq <= 0.0) | (sq != sq), sq)
     if bad:
         raise DegenerateFrame("no spacelike normal direction found", *bad)
-    return x.scale(-1.0 / ops.sqrt(sq)), n2
+    return x.scale(-1.0 / OPS.sqrt(sq)), n2
 
 
 class PointData:
-    """All pointwise geometry of an immersion at one (u, v), or at each
-    point of (u, v) arrays that broadcast together.
+    """All pointwise geometry of an immersion at each point of (u, v)
+    arrays that broadcast together.
 
     Never modified after construction (see
     :class:`~minksurf.minkowski.Vec4M`).
@@ -340,16 +336,15 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     bad = first_failure(_not_spacelike(e, det2), u, v, e, det2)
     if bad:
         raise NotSpacelike(*bad)
-    ops = elementary(e, det2)
-    w = ops.sqrt(det2)
+    w = OPS.sqrt(det2)
 
     if frame is None:
         n1, n2 = normal_frame(z_u, z_v)
     else:
         n1, n2 = frame
-        su = ops.sqrt(e)
-        sv = ops.sqrt(g)
-        worst = ops.max(
+        su = OPS.sqrt(e)
+        sv = OPS.sqrt(g)
+        worst = OPS.max(
             abs(inner(n1, n1) - 1.0), abs(inner(n2, n2) + 1.0),
             abs(inner(n1, n2)),
             abs(inner(n1, z_u)) / su, abs(inner(n1, z_v)) / sv,
@@ -386,7 +381,7 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     trace = (z_uu.scale(g) - z_uv.scale(2.0 * f) + z_vv.scale(e)).scale(
         1.0 / (2.0 * det2))
     h_vec = _project_normal(trace, z_u, z_v, e, f, g, det2)
-    h_vec = ops.where(
+    h_vec = OPS.where(
         h_vec.euclidean_norm() <= H_FLOOR * trace.euclidean_norm(),
         ZERO, h_vec)
     h1 = inner(h_vec, n1)

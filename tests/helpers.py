@@ -3,12 +3,14 @@ the ``%`` row format that exported tables are checked against."""
 
 import math
 import random
+from contextlib import contextmanager
 
 import numpy as np
 
 from minksurf import jets
 from minksurf.expr import compile_profile
 from minksurf.jets import Jet2
+from minksurf.minkowski import OPS
 from minksurf.meridian import (ProfileCurvePhi, ProfilePair, RootBranch,
                                build_parabolic, plane_section_phi)
 from minksurf.surface import Interval, SurfacePatch
@@ -42,9 +44,34 @@ def replaced(obj, **changes):
 
 
 def flat_points(grid) -> tuple:
-    """The points of ``grid.points()`` as flat u and v arrays, in the
-    same order: its (nu, 1) column and (1, nv) row broadcast together."""
+    """The grid's points as flat u and v arrays in row-major order: its
+    (nu, 1) column and (1, nv) row broadcast together."""
     return tuple(x.ravel() for x in np.broadcast_arrays(*grid.lines()))
+
+
+def grid_points(grid) -> list:
+    """The grid's points as (u, v) pairs of floats, in row-major order."""
+    return list(zip(*(x.tolist() for x in flat_points(grid))))
+
+
+@contextmanager
+def math_rounding():
+    """Within the block the engine's sqrt, sin, cos, exp, log and real
+    powers (``minkowski.OPS``) call ``math`` (float ``**`` for a power)
+    on one element at a time: a reference for the rounding of every
+    element that does not depend on how the engine maps these functions."""
+    def each(fn):
+        return lambda a: np.array([fn(x) for x in np.ravel(a).tolist()],
+                                  dtype=float).reshape(np.shape(a))
+
+    saved = dict(vars(OPS))
+    OPS.sqrt, OPS.sin, OPS.cos, OPS.exp, OPS.log = map(
+        each, (math.sqrt, math.sin, math.cos, math.exp, math.log))
+    OPS.pow = lambda a, p: each(lambda x: x ** p)(a)
+    try:
+        yield
+    finally:
+        vars(OPS).update(saved)
 
 
 def reproducer_pair() -> ProfilePair:

@@ -29,7 +29,7 @@ from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
 from minksurf.surface import (GridSpec, Interval, SurfacePatch,
                               jet_eval_surface, point_data)
 
-from helpers import row_format
+from helpers import math_rounding, row_format
 
 MT_ARGS = ["family", "--type", "parabolic-mt", "--a", "-1", "--b", "0",
            "--c", "1", "--sign", "plus",
@@ -347,7 +347,10 @@ class TestRejectedInputs:
         ("exp(1000*u)", "0.5:2:3", "exp: argument"),
         # 2^400.5 still fits a float; 8^400.5 does not.
         ("u^400.5", "2:8:3", "pow-by-real: argument"),
-    ], ids=["exp", "pow"])
+        # At u = 0.875 exp(700) fits but f'' = 800^2 exp(700) does not;
+        # the first argument beyond float range is 730 at u = 0.9125.
+        ("exp(800*u)", "0.5:2:3", "exp: argument"),
+    ], ids=["exp", "pow", "exp-slot"])
     def test_overflowing_profile(self, tmp_path, capsys, f_expr, u_axis,
                                  wanted):
         out = tmp_path / "y.csv"
@@ -393,6 +396,17 @@ class TestRejectedInputs:
         self.assert_rejected(capsys, code, wanted)
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_section_is_named(self, tmp_path, capsys):
+        # theta^2 = (1e200 cos v)^2 overflows in the jets of phi; the
+        # inf that results fails phi'^2 + phi^2 > 0, with no numpy
+        # warning first.
+        out = tmp_path / "s.csv"
+        code = run_cli(["section", "--A", "1e200", "--B", "0", "--C", "-1",
+                        "--samples", "5", "--csv", str(out)])
+        self.assert_rejected(capsys, code, "error: phi'^2 + phi^2 > 0 "
+                             "violated at v = 0.12566370614359174\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_metric_is_not_spacelike(self, tmp_path, capsys):
         # -2 f'g' overflows to inf, which the admissibility samples reject
         # at build time, naming the inequality rather than E = inf - inf.
@@ -419,32 +433,39 @@ class TestRejectedInputs:
         assert run_cli(argv + ["--v=-1:1:5", "--csv", str(out)]) == 0
 
 
-def per_point_csv(patch, grid, positions_only=False) -> bytes:
-    """The exporters' CSV from one float call per point, each row written
-    with ``row_format``."""
+def per_line_csv(patch, grid, positions_only=False) -> bytes:
+    """The exporters' CSV from one engine call per u line of the grid
+    (the exporters evaluate blocks of lines), each row written with
+    ``row_format``."""
     header = POSITIONS_HEADER if positions_only else CSV_HEADER
     line = row_format(header.count(",") + 1)
     out = [header + "\n"]
-    for u, v in grid.points():
+    us, vs = grid.lines()
+    for u in us:
         if positions_only:
-            z = jet_eval_surface(patch, u, v).value()
-            out.append(line % (u, v, *z.coords()))
+            columns = jet_eval_surface(patch, u, vs).value().coords()
         else:
-            p = point_data(patch, u, v)
-            out.append(line % (u, v, *p.z.coords(), p.E, p.F, p.G, p.L, p.M,
-                               p.N, p.k, p.kappa_normal, p.K, *p.H.coords(),
-                               p.h_dot_h()))
+            p = point_data(patch, u, vs)
+            columns = (*p.z.coords(), p.E, p.F, p.G, p.L, p.M, p.N, p.k,
+                       p.kappa_normal, p.K, *p.H.coords(), p.h_dot_h())
+        table = np.stack([np.ravel(c) for c in
+                          np.broadcast_arrays(u, vs, *columns)], axis=-1)
+        out.extend(line % tuple(row) for row in table.tolist())
     return "".join(out).encode()
 
 
-def per_point_obj(patch, grid) -> bytes:
-    """``export_obj``'s default-projection mesh from one float call and
-    one ``proj @ z`` per vertex."""
+def per_line_obj(patch, grid) -> bytes:
+    """``export_obj``'s default-projection mesh from one engine call per
+    u line and one ``proj @ z`` per vertex."""
     proj = np.asarray(DEFAULT_PROJECTION)
     vertex = "v " + row_format(3, " ")
-    out = [vertex % tuple((proj @ np.array(
-               jet_eval_surface(patch, u, v).value().coords())).tolist())
-           for u, v in grid.points()]
+    us, vs = grid.lines()
+    out = []
+    for u in us:
+        z = np.broadcast_arrays(
+            *jet_eval_surface(patch, u, vs).value().coords())
+        out.extend(vertex % tuple((proj @ np.array(coords)).tolist())
+                   for coords in zip(*(np.ravel(x).tolist() for x in z)))
     nv = grid.v_samples
     for i in range(grid.u_samples - 1):
         for j in range(nv - 1):
@@ -456,7 +477,7 @@ def per_point_obj(patch, grid) -> bytes:
 
 class TestPerLineMemoOutput:
     """Exports from one patch, a block of u lines per array call, match
-    rows built from one float call per point, byte for byte."""
+    rows built from one call per u line, byte for byte."""
 
     U, V = "0.4:2.5:7", "0.1:6.2:5"
     GRID = GridSpec(7, 5, Interval(0.4, 2.5), Interval(0.1, 6.2))
@@ -480,9 +501,9 @@ class TestPerLineMemoOutput:
         assert code == 0
         ref = self.expression_patch(exprs, self.GRID)
         assert ((tmp_path / "s.csv").read_bytes()
-                == per_point_csv(ref, self.GRID, positions_only=True))
-        assert (tmp_path / "s.obj").read_bytes() == per_point_obj(ref,
-                                                                  self.GRID)
+                == per_line_csv(ref, self.GRID, positions_only=True))
+        assert (tmp_path / "s.obj").read_bytes() == per_line_obj(ref,
+                                                                 self.GRID)
 
     def test_family_csv(self, tmp_path):
         code = run_cli(MT_ARGS + ["--u", self.U, "--v", self.V,
@@ -499,12 +520,13 @@ class TestPerLineMemoOutput:
             return build_parabolic(fp, phi)
 
         assert ((tmp_path / "f.csv").read_bytes()
-                == per_point_csv(build(), self.GRID))
+                == per_line_csv(build(), self.GRID))
 
     def test_invariants_csv_with_exp_ln_and_real_powers(self, tmp_path):
         # numpy's ** and exp round differently from float ** and
-        # math.exp: with either on the array path this CSV differs, from
-        # line 553 (**) and from line 1852 (exp).
+        # math.exp: with either in the engine this CSV differs from the
+        # reference, which calls math on one element at a time, from line
+        # 553 (**) and from line 1852 (exp).
         exprs = {"f": "1.5 + exp(-u)", "g": "ln(u) + u^1.5",
                  "phi": "2 + 0.5*sin(v)"}
         grid = GridSpec(60, 50, Interval(0.5, 2.0), Interval(0.0, 6.283))
@@ -513,8 +535,9 @@ class TestPerLineMemoOutput:
                         "--u", "0.5:2:60", "--v", "0:6.283:50",
                         "--csv", str(tmp_path / "i.csv")])
         assert code == 0
-        assert ((tmp_path / "i.csv").read_bytes()
-                == per_point_csv(self.expression_patch(exprs, grid), grid))
+        with math_rounding():
+            want = per_line_csv(self.expression_patch(exprs, grid), grid)
+        assert (tmp_path / "i.csv").read_bytes() == want
 
 
 class TestAtomicOutput:
@@ -651,12 +674,17 @@ class TestSectionCsv:
                         "--samples", "1000", "--csv", str(out)]) == 0
         phi = plane_section_phi(1.0, 0.0, -1.0)
         vs = phi.domain.linspace(1000, inset=0.02)
-        assert calls == vs
-        # Rows as one float evaluation of phi and of kappa_bar per sample.
-        rows = [",".join(fmt(x) for x in (v, profile_v(phi.phi, v).val,
-                                          kappa_bar(phi, v)))
-                for v in vs]
-        want = "v,phi,kappa_bar\n" + "\n".join(rows) + "\n"
+        # One call, on all samples.
+        assert len(calls) == 1 and calls[0].tolist() == vs
+        # Rows from phi and kappa_bar on 7 pieces of the samples, with
+        # math rounding each element.
+        rows = []
+        with math_rounding():
+            for piece in np.array_split(np.array(vs), 7):
+                rows += zip(piece, profile_v(phi.phi, piece).val,
+                            kappa_bar(phi, piece))
+        want = "v,phi,kappa_bar\n" + "".join(
+            ",".join(fmt(x) for x in row) + "\n" for row in rows)
         assert out.read_bytes() == want.encode("ascii")
 
 

@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 
 from minksurf import exporters
 from minksurf.cli import run_cli
-from minksurf.errors import AdmissibilityError, ExprError, SingularProjection
+from minksurf.errors import (AdmissibilityError, Error, ExprError,
+                             NotSpacelike, SingularProjection)
 from minksurf.exporters import DEFAULT_PROJECTION, export_grid
 from minksurf.jets import Jet2, Jet2Vec4
 from minksurf.meridian import ProfileCurvePhi, ProfilePair, build_parabolic
-from minksurf.surface import GridSpec, Interval, SurfacePatch, jet_eval_surface
+from minksurf.surface import (GridSpec, Interval, Rect, SurfacePatch,
+                              jet_eval_surface, point_data)
 
-from helpers import (nan_near, random_parabolic_patch, reproducer_pair,
-                     row_format)
+from helpers import (grid_points, nan_near, random_parabolic_patch,
+                     reproducer_pair, row_format)
 
 FLIP = ((-1.0, 0.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, 0.5))
 
@@ -65,7 +67,7 @@ def per_point_obj(patch, grid, projection) -> bytes:
     return "".join(
         line % tuple((proj @ np.array(
             jet_eval_surface(patch, u, v).value().coords())).tolist())
-        for u, v in grid.points()).encode()
+        for u, v in grid_points(grid)).encode()
 
 
 PATCHES = {"flat": flat_patch, "negative-zero": negative_zero_patch}
@@ -170,6 +172,31 @@ def test_a_failing_pass_leaves_no_file(tmp_path, projection, error):
         export_grid(patch, grid, str(tmp_path / "m.csv"),
                     str(tmp_path / "m.obj"), projection, positions_only=True)
     assert str(both.value) == str(obj_only.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_block_run_again_names_the_first_point_without_a_warning(
+        tmp_path):
+    # z = (u, 1e100 v, 5e199 (u - 1)^2, 0): E = 1 + (1e200 (u - 1))^2 is
+    # inf for u > 1, so the block fails its metric check there.  At u = 1
+    # the metric is finite, but G z_uu = 1e400 e3 overflows in the mean
+    # curvature trace: run again one point at a time, the block fails at
+    # its first point, with no numpy warning (an error under -W error).
+    def immersion(ju, jv):
+        d = ju - 1.0
+        return Jet2Vec4(ju, 1e100 * jv, 5e199 * d * d, Jet2.constant(0.0))
+
+    patch = SurfacePatch(immersion, Rect(Interval(0.0, 3.0),
+                                         Interval(0.0, 1.0)))
+    grid = GridSpec(3, 2, Interval(1.0, 2.0), Interval(0.0, 1.0))
+    with pytest.raises(NotSpacelike):
+        point_data(patch, *grid.lines())
+    with pytest.raises(Error) as first:
+        point_data(patch, 1.0, 0.0)
+    with pytest.raises(Error) as export:
+        export_grid(patch, grid, str(tmp_path / "x.csv"))
+    assert str(export.value) == str(first.value) == (
+        "non-finite coordinate x3=inf")
     assert list(tmp_path.iterdir()) == []
 
 

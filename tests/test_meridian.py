@@ -23,7 +23,7 @@ from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                                plane_section_curvature, plane_section_phi,
                                profile_u, profile_v)
 
-from helpers import flat_points, random_parabolic_patch
+from helpers import flat_points, grid_points, random_parabolic_patch
 
 TWO_PI = 2.0 * math.pi
 
@@ -276,6 +276,17 @@ class TestMtConePatch:
         with pytest.raises(ParamError):
             mt_cone_patch(0.5, 0.0, unit_phi())
 
+    def test_samples_are_checked_in_order(self):
+        # phi = exp(800 v): phi'^2 overflows from v = 0.5 on, exp itself
+        # only beyond v = 0.887; the first failing sample is named, with
+        # no numpy warning first.
+        phi = ProfileCurvePhi(phi=lambda j: jets.exp(800.0 * j),
+                              domain=Interval(0.5, 2.0))
+        with pytest.raises(AdmissibilityError) as err:
+            mt_cone_patch(-0.5, 0.0, phi)
+        assert (err.value.inequality, err.value.value) == (
+            "phi'^2 + phi^2 > 0", 0.5)
+
 
 class TestParaboloid:
     def test_axis_point(self):
@@ -455,7 +466,7 @@ def _bits(x):
     if hasattr(type(x), "__slots__"):
         return tuple(_bits(getattr(x, name)) for name in type(x).__slots__)
     if isinstance(x, np.ndarray):
-        return tuple(float(y).hex() for y in x)
+        return tuple(float(y).hex() for y in np.ravel(x))
     return float(x).hex()
 
 
@@ -475,7 +486,7 @@ class TestProfileLineMemo:
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_shuffled_grid_matches_fresh_patches(self, seed):
         patch = random_parabolic_patch(random.Random(seed))
-        points = list(GridSpec.for_patch(patch, 6, 5).points())
+        points = grid_points(GridSpec.for_patch(patch, 6, 5))
         random.Random(seed).shuffle(points)
         for u, v in points + points[:3]:
             fresh = point_data(build_parabolic(*patch.profiles), u, v)
@@ -494,7 +505,7 @@ class TestProfileLineMemo:
 
     def test_signed_zeros_are_kept_apart(self):
         def phi_fn(jv):
-            return Jet2.constant(2.0 + math.copysign(0.5, jv.val))
+            return Jet2(2.0 + np.copysign(0.5, jv.val))
         patch = build_parabolic(identity_pair(),
                                 ProfileCurvePhi(phi_fn, Interval(-1.0, 1.0)))
         plus = patch.immersion(Jet2.seed_u(1.0), Jet2.seed_v(0.0))
@@ -507,7 +518,7 @@ class TestProfileLineMemo:
         grid = GridSpec.for_patch(patch, 5, 4)
         us, vs = flat_points(grid)
         before = _bits(point_data(patch, us, vs))
-        for u, v in grid.points():
+        for u, v in grid_points(grid):
             point_data(patch, u, v)
         assert _bits(point_data(patch, us, vs)) == before
         assert before == _bits(point_data(build_parabolic(fp, phi), us, vs))

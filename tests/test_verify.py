@@ -364,7 +364,8 @@ class TestGridReduction:
         assert col.shape == (3, 1) and row.shape == (1, 4)
         us, vs = np.broadcast_arrays(col, row)
         assert (list(zip(us.ravel().tolist(), vs.ravel().tolist()))
-                == list(grid.points()))
+                == [(u, v) for u in grid.u_range.linspace(3)
+                    for v in grid.v_range.linspace(4)])
 
     def test_witness_of_a_column_by_row_is_row_major(self):
         col, row = np.array([[0.1], [0.2]]), np.array([[1.0, 2.0, 3.0]])
