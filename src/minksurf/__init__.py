@@ -16,17 +16,17 @@ from .minkowski import (E1, E2, E3, E4, XI1, XI2, CausalCharacter,
                         NullFrameCoords, Vec4M, causal_character,
                         from_null_frame, inner, to_null_frame)
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
-from .surface import (GridSpec, Interval, PointData, Rect, SurfacePatch,
-                      is_marginally_trapped, jet_eval_surface, normal_frame,
-                      point_data, point_data_from_derivatives)
-from .meridian import (ClosedForms, LineJets, MTFamilyParams, PlaneSection,
+from .surface import (GridSpec, Interval, LineJets, PointData, Rect,
+                      SurfacePatch, is_marginally_trapped, jet_eval_surface,
+                      normal_frame, point_data, point_data_from_derivatives)
+from .meridian import (ClosedForms, MTFamilyParams, PlaneSection,
                        ProfileCurvePhi, ProfilePair, RootBranch, SignBranch,
                        build_parabolic, kappa_bar, kappa_m, line_jets,
                        meridian_plane, mt_cone_patch, mt_general_gprime,
                        mt_general_profile, parabolic_closed_forms,
-                       parabolic_normal_frame, paraboloid_point,
-                       plane_section_curvature, plane_section_phi,
-                       profile_u, profile_v)
+                       parabolic_immersion, parabolic_normal_frame,
+                       paraboloid_point, plane_section_curvature,
+                       plane_section_phi, profile_u, profile_v)
 from .verify import (VerificationReport, claim_suite,
                      render_reports, verify_case1_hyperplane,
                      verify_closed_form_invariants,

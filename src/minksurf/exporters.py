@@ -8,10 +8,10 @@ inputs produce byte-identical files.
 table, the OBJ mesh or both) in one pass over the grid, in blocks of
 whole u lines of about :data:`BLOCK_POINTS` points:
 
-* The line jets of a parabolic patch (``SurfacePatch.lines``) are
-  evaluated once per export, on the column of all u samples and the row
-  of v samples, after the grid is checked to lie in the patch's domain,
-  and the profile inequalities are checked on them first.
+* The patch's line jets (``SurfacePatch.lines``), through which every
+  patch is evaluated, are evaluated once per export, on the column of all
+  u samples and the row of v samples, after the grid is checked to lie in
+  the patch's domain (a parabolic patch checks its profiles on them).
 * Each block is evaluated once, with one array call of the surface
   engine (``point_data`` for the invariant table, else
   ``jet_eval_surface``) on the block's rows of those line jets, and
@@ -106,24 +106,22 @@ def _table(u, v, columns) -> np.ndarray:
 def _blocks(us: np.ndarray, row: np.ndarray, k: int, lines, evaluate):
     """``(U, evaluate(U, row, L))`` per block U of k rows of the (nu, 1)
     column ``us`` of u samples, in grid order, with L the block's rows of
-    the grid's line jets ``lines`` (None for a generic patch).  Broadcast
-    with the (1, nv) row of v samples, U gives the block's points in
-    row-major order.  A block that raises an :class:`Error` is evaluated
-    again one point at a time, so the error raised is the one of the
-    first failing point.
+    the grid's line jets ``lines``.  Broadcast with the (1, nv) row of v
+    samples, U gives the block's points in row-major order.  A block that
+    raises an :class:`Error` is evaluated again one point at a time, so
+    the error raised is the one of the first failing point.  Overflow
+    gives inf or NaN, which fail, without a numpy warning.
     """
     for i in range(0, len(us), k):
         block_us = us[i:i + k]
-        try:
-            block = evaluate(block_us, row,
-                             None if lines is None
-                             else lines.u_rows(slice(i, i + k)))
-        except Error:
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                block = evaluate(block_us, row, lines.u_rows(slice(i, i + k)))
+            except Error:
                 for u in block_us:
                     for v in row.T:
                         evaluate(u, v)
-            raise
+                raise
         yield block_us, block
 
 
@@ -192,9 +190,9 @@ def export_grid(patch: SurfacePatch, grid: GridSpec, csv: str | None = None,
     with ExitStack() as files:
         csv_fh = csv and files.enter_context(atomic_writer(csv))
         obj_fh = obj and files.enter_context(atomic_writer(obj))
-        # The grid checked in the domain, then the profile jets of every
-        # u line and of the v row, checked; the blocks check neither.
-        lines = None if patch.lines is None else checked_lines(patch, us, row)
+        # The grid checked in the domain, then the jets of every u line
+        # and of the v row, checked; the blocks check neither.
+        lines = checked_lines(patch, us, row)
         if csv_fh:
             csv_fh.write(header + "\n")
         text = GridText(us.ravel(), row.ravel(),

@@ -18,9 +18,10 @@ constant-curvature plane sections.
 
 Profile functions are callables on :class:`~minksurf.jets.Jet2` values, so
 every geometric quantity below is differentiated exactly.  A profile must
-accept jets whose slots are arrays: the line jets, kappa_m, kappa_bar and
-the closed forms take u and v as arrays that broadcast together, like the
-surface engine, and a float argument evaluates as a numpy value.
+accept jets whose slots are arrays: the line jets (:func:`line_jets`,
+through which a patch is evaluated), kappa_m, kappa_bar and the closed
+forms take u and v as arrays that broadcast together, like the surface
+engine, and a float argument evaluates as a numpy value.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import AdmissibilityError, CurvatureMismatch, Error, ParamError
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
 from .minkowski import (OPS, XI1, NullFrameCoords, Vec4M, first_failure,
                         from_null_frame)
-from .surface import Interval, Rect, SurfacePatch, _read_only
+from .surface import Interval, LineJets, Rect, SurfacePatch, _read_only
 
 ProfileFn = Callable[[Jet2], Jet2]
 
@@ -139,37 +140,13 @@ def _kappa_bar(pj: Jet2, q: float) -> float:
 _CHECK_SAMPLES = 41
 
 
-class LineJets:
-    """The profile jets of a parabolic patch on the lines through its
-    points: f and g at u, and phi, cos v and sin v at v.  f and g depend on
-    u alone and phi on v alone, so on a grid, with u a (k, 1) column and v
-    a (1, n) row, each is evaluated once per line.
-    """
-
-    __slots__ = ("f", "g", "phi", "cos", "sin")
-
-    def __init__(self, f: Jet2, g: Jet2, phi: Jet2, cos: Jet2, sin: Jet2):
-        self.f = f
-        self.g = g
-        self.phi = phi
-        self.cos = cos
-        self.sin = sin
-
-    def immersion(self) -> Jet2Vec4:
-        """The jets of z(u, v) (see the module docstring)."""
-        f, phi = self.f, self.phi
-        fphi = f * phi
-        return vec_from_null_jets(fphi * self.cos, fphi * self.sin,
-                                  f * (phi * phi) * 0.5 + self.g, f)
-
-    def u_rows(self, rows: slice) -> "LineJets":
-        """The jets of the u samples ``rows`` of a column.  A profile may
-        return float slots (:meth:`Jet2.constant`), so only array slots
-        are sliced."""
-        f, g = (Jet2(*(s[rows] if isinstance(s, np.ndarray) else s
-                       for s in (j.val, j.du, j.dv, j.duu, j.duv, j.dvv)))
-                for j in (self.f, self.g))
-        return LineJets(f, g, self.phi, self.cos, self.sin)
+def parabolic_immersion(f: Jet2, g: Jet2, phi: Jet2, cos: Jet2,
+                        sin: Jet2) -> Jet2Vec4:
+    """The jets of z(u, v) (see the module docstring) from jets of f, g,
+    phi, cos v and sin v in any parametrisation: the line jets' combine."""
+    fphi = f * phi
+    return vec_from_null_jets(fphi * cos, fphi * sin,
+                              f * (phi * phi) * 0.5 + g, f)
 
 
 def _u_jets(fp: ProfilePair, u) -> tuple[Jet2, Jet2]:
@@ -202,16 +179,18 @@ def _first_failing_sample(evaluate, profile, x):
 
 
 def line_jets(fp: ProfilePair, phi: ProfileCurvePhi, u, v) -> LineJets:
-    """The profile jets of the u lines and v lines through (u, v), with
-    the profile inequalities checked on them: at every u sample (f > 0
-    before -f'*g' > 0 at each), then at every v sample."""
-    return LineJets(*_first_failing_sample(_u_jets, fp, u),
-                    *_first_failing_sample(_v_jets, phi, v))
+    """The profile jets of the u lines (f and g) and v lines (phi, cos v
+    and sin v) through (u, v), with the profile inequalities checked on
+    them: at every u sample (f > 0 before -f'*g' > 0 at each), then at
+    every v sample."""
+    return LineJets(_first_failing_sample(_u_jets, fp, u),
+                    _first_failing_sample(_v_jets, phi, v),
+                    parabolic_immersion)
 
 
 def parabolic_normal_frame():
     """The family-adapted orthonormal normal frame of the parabolic
-    surface, as a function of its checked :class:`LineJets`.
+    surface, as a function of its checked :func:`line_jets`.
 
     In this frame the second fundamental form degenerates (L = N = 0) and
     the closed-form invariants take their reduced shape.  It satisfies the
@@ -221,8 +200,8 @@ def parabolic_normal_frame():
     """
 
     def frame(lines: LineJets) -> tuple[Vec4M, Vec4M]:
-        fj, gj, pj = lines.f, lines.g, lines.phi
-        sv, cv = lines.sin.val, lines.cos.val
+        (fj, gj), (pj, cos, sin) = lines.u, lines.v
+        sv, cv = sin.val, cos.val
         q = pj.dv * pj.dv + pj.val * pj.val
         # Flipping n1 with the sign of f' keeps {z_u, z_v, n1, n2}
         # positively oriented on both admissibility branches.
@@ -251,21 +230,16 @@ def build_parabolic(fp: ProfilePair, phi: ProfileCurvePhi) -> SurfacePatch:
     the offending parameter value.  The resulting patch carries its
     profiles ``(fp, phi)``, its :func:`line_jets`, from which the surface
     engine builds the immersion jets, and the family-adapted normal frame
-    of those jets; ``immersion`` takes jets of any parametrisation.
+    of those jets.  :func:`parabolic_immersion` takes jets of any
+    parametrisation.
     """
     line_jets(fp, phi, np.array(fp.domain.linspace(_CHECK_SAMPLES)),
               np.array(phi.domain.linspace(_CHECK_SAMPLES)))
-
-    def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
-        return LineJets(fp.f(ju), fp.g(ju), phi.phi(jv), jets.cos(jv),
-                        jets.sin(jv)).immersion()
-
     return SurfacePatch(
-        immersion=immersion,
+        lines=partial(line_jets, fp, phi),
         domain=Rect(fp.domain, phi.domain),
         frame=parabolic_normal_frame(),
         profiles=(fp, phi),
-        lines=partial(line_jets, fp, phi),
     )
 
 

@@ -214,7 +214,8 @@ def from_null_frame(c: NullFrameCoords) -> Vec4M:
 
 
 def to_null_frame(v: Vec4M) -> NullFrameCoords:
-    """Inverse of :func:`from_null_frame`."""
+    """Inverse of :func:`from_null_frame`; public API on purpose, although
+    the package itself does not call it."""
     return NullFrameCoords(v.x1, v.x2,
                            (v.x3 + v.x4) * _SQRT_HALF,
                            (v.x4 - v.x3) * _SQRT_HALF)

@@ -1,12 +1,13 @@
 """Pointwise geometry of spacelike immersions in Minkowski 4-space.
 
-Given an immersion z(u, v) evaluable in jet arithmetic, this module
-computes, per point: the induced metric E, F, G; an orthonormal normal
-frame {n1, n2} with <n1,n1> = 1 and <n2,n2> = -1; the normal coefficients
-c_ij^k of the second partial derivatives; the form functions L, M, N
-and the derived invariants k (asymptotic-tangent discriminant) and
-kappa_normal (curvature of the normal connection); the Gauss curvature K;
-and the mean curvature vector H with its frame components.
+Every patch is evaluated through its line jets (:class:`LineJets`), from
+which this module computes, per point: the induced metric E, F, G; an
+orthonormal normal frame {n1, n2} with <n1,n1> = 1 and <n2,n2> = -1; the
+normal coefficients c_ij^k of the second partial derivatives; the form
+functions L, M, N and the derived invariants k (asymptotic-tangent
+discriminant) and kappa_normal (curvature of the normal connection); the
+Gauss curvature K; and the mean curvature vector H with its frame
+components.
 
 Conventions.  The normal frame satisfies <n1,n1> = 1, <n2,n2> = -1,
 <n1,n2> = 0, the quadruple {z_u, z_v, n1, n2} is positively oriented, and
@@ -40,7 +41,7 @@ from .minkowski import (E4, OPS, ZERO, CausalCharacter, Vec4M,
                         causal_character, first_failure, inner)
 
 if TYPE_CHECKING:
-    from .meridian import LineJets, ProfileCurvePhi, ProfilePair
+    from .meridian import ProfileCurvePhi, ProfilePair
 
 
 def _read_only(self, name, value=None):
@@ -126,33 +127,62 @@ class GridSpec:
                         Interval(*patch.domain.v.linspace(2, inset=0.02)))
 
 
+class LineJets:
+    """Jets of u alone (``u``) and of v alone (``v``), each evaluated once
+    per line of a grid; ``combine(*u, *v)`` gives the immersion jets."""
+
+    __slots__ = ("u", "v", "combine")
+
+    def __init__(self, u: tuple, v: tuple, combine: Callable[..., Jet2Vec4]):
+        self.u = u
+        self.v = v
+        self.combine = combine
+
+    def immersion(self) -> Jet2Vec4:
+        return self.combine(*self.u, *self.v)
+
+    def u_rows(self, rows: slice) -> "LineJets":
+        """The jets of the u samples ``rows`` of a column.  A profile may
+        return float slots (:meth:`Jet2.constant`), so only array slots
+        are sliced."""
+        u = tuple(Jet2(*(s[rows] if isinstance(s, np.ndarray) else s
+                         for s in (j.val, j.du, j.dv, j.duu, j.duv, j.dvv)))
+                  for j in self.u)
+        return LineJets(u, self.v, self.combine)
+
+
 class SurfacePatch:
     """An immersion over a rectangle, evaluable in jet arithmetic.
 
-    ``immersion`` receives jets seeded in u and v and returns the four
-    coordinate jets.  A parabolic meridian patch
-    (:func:`~minksurf.meridian.build_parabolic`) also has ``lines``, the
-    checked profile jets of the lines through (u, v)
-    (:func:`~minksurf.meridian.line_jets`), from which the engine builds
-    its immersion jets; ``frame``, its adapted normal frame as a function
-    of those jets, which :func:`point_data` uses instead of the canonical
-    one; and ``profiles``, the (ProfilePair, ProfileCurvePhi) it was built
-    from, which the certificates of :mod:`minksurf.verify` that compare
-    with the closed forms read.  A generic patch has none of the three.
+    ``lines(u, v)`` returns its :class:`LineJets` at (u, v) in ``domain``
+    (:func:`checked_lines` checks the domain first).  A parabolic meridian
+    patch (:func:`~minksurf.meridian.build_parabolic`) also has ``frame``,
+    its adapted normal frame as a function of those jets, which
+    :func:`point_data` uses instead of the canonical one; and
+    ``profiles``, the (ProfilePair, ProfileCurvePhi) it was built from,
+    which the certificates of :mod:`minksurf.verify` that compare with
+    the closed forms read.  A generic patch (:meth:`of_immersion`) has
+    neither.
     """
 
-    __slots__ = ("immersion", "domain", "frame", "profiles", "lines")
+    __slots__ = ("lines", "domain", "frame", "profiles")
 
     def __init__(
-            self, immersion: Callable[[Jet2, Jet2], Jet2Vec4], domain: Rect,
+            self, lines: Callable[[float, float], LineJets], domain: Rect,
             frame: Optional[Callable[[LineJets], tuple[Vec4M, Vec4M]]] = None,
-            profiles: Optional[tuple[ProfilePair, ProfileCurvePhi]] = None,
-            lines: Optional[Callable[[float, float], LineJets]] = None):
-        self.immersion = immersion
+            profiles: Optional[tuple[ProfilePair, ProfileCurvePhi]] = None):
+        self.lines = lines
         self.domain = domain
         self.frame = frame
         self.profiles = profiles
-        self.lines = lines
+
+    @staticmethod
+    def of_immersion(immersion: Callable[[Jet2, Jet2], Jet2Vec4],
+                     domain: Rect) -> "SurfacePatch":
+        """The generic patch of ``immersion(ju, jv) -> Jet2Vec4``."""
+        def lines(u, v) -> LineJets:
+            return LineJets((Jet2.seed_u(u),), (Jet2.seed_v(v),), immersion)
+        return SurfacePatch(lines, domain)
 
 
 def _check_domain(patch: SurfacePatch, u, v) -> None:
@@ -164,23 +194,20 @@ def _check_domain(patch: SurfacePatch, u, v) -> None:
         raise DomainError("surface-eval", x, f"{name} in [{iv.lo}, {iv.hi}]")
 
 
-def checked_lines(patch: SurfacePatch, u, v) -> Optional[LineJets]:
+def checked_lines(patch: SurfacePatch, u, v) -> LineJets:
     """The patch's line jets at (u, v), evaluated after (u, v) is checked
-    to lie in its domain; None for a generic patch, after the check."""
+    to lie in its domain."""
     _check_domain(patch, u, v)
-    return None if patch.lines is None else patch.lines(u, v)
+    return patch.lines(u, v)
 
 
 def jet_eval_surface(patch: SurfacePatch, u: float, v: float,
                      lines: Optional[LineJets] = None) -> Jet2Vec4:
-    """Evaluate the immersion with (u, v) seeded as jet variables, from
-    the patch's line jets if it has them.  ``lines`` passes the
-    :func:`checked_lines` of a parabolic patch that the caller has
-    already evaluated at (u, v); then (u, v) is not checked again."""
+    """The immersion jets at (u, v), from the patch's line jets: ``lines``
+    if the caller passes its :func:`checked_lines` at (u, v), which are
+    then not checked again."""
     if lines is None:
         lines = checked_lines(patch, u, v)
-        if lines is None:
-            return patch.immersion(Jet2.seed_u(u), Jet2.seed_v(v))
     return lines.immersion()
 
 
@@ -309,7 +336,7 @@ def point_data(patch: SurfacePatch, u: float, v: float,
     own frame if it has one (see :func:`point_data_from_derivatives` for
     how it is checked), else in the canonical frame.  ``lines`` are as
     for :func:`jet_eval_surface`; (u, v) is checked once either way."""
-    if lines is None and patch.lines is not None:
+    if lines is None:
         lines = checked_lines(patch, u, v)
     jets = jet_eval_surface(patch, u, v, lines)
     return point_data_from_derivatives(

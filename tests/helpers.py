@@ -12,7 +12,8 @@ from minksurf.expr import compile_profile
 from minksurf.jets import Jet2
 from minksurf.minkowski import OPS
 from minksurf.meridian import (ProfileCurvePhi, ProfilePair, RootBranch,
-                               build_parabolic, plane_section_phi)
+                               build_parabolic, parabolic_immersion,
+                               plane_section_phi)
 from minksurf.surface import Interval, SurfacePatch
 
 
@@ -41,6 +42,17 @@ def replaced(obj, **changes):
     its slots as keywords) with ``changes`` to some of its fields."""
     fields = {name: getattr(obj, name) for name in type(obj).__slots__}
     return type(obj)(**{**fields, **changes})
+
+
+def immersion_of(patch: SurfacePatch):
+    """The immersion of a parabolic patch as a function of jets in any
+    parametrisation: :func:`parabolic_immersion` of its profiles."""
+    fp, phi = patch.profiles
+
+    def immersion(ju: Jet2, jv: Jet2):
+        return parabolic_immersion(fp.f(ju), fp.g(ju), phi.phi(jv),
+                                   jets.cos(jv), jets.sin(jv))
+    return immersion
 
 
 def flat_points(grid) -> tuple:

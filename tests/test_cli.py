@@ -29,7 +29,7 @@ from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
 from minksurf.surface import (GridSpec, Interval, SurfacePatch,
                               jet_eval_surface, point_data)
 
-from helpers import math_rounding, row_format
+from helpers import immersion_of, math_rounding, row_format
 
 MT_ARGS = ["family", "--type", "parabolic-mt", "--a", "-1", "--b", "0",
            "--c", "1", "--sign", "plus",
@@ -388,11 +388,23 @@ class TestRejectedInputs:
           "--section", "A=0,B=-inf,C=-0.5,root=plus",
           "--u", "0.2:3:5", "--v", "0:6:5", "--csv", "o"],
          "--section B needs a finite real, got '-inf'"),
+        # Jets that overflow in an export's first block pass, in the
+        # immersion and in the adapted frame, are named with no numpy
+        # warning first.
+        (["sample", "--f-expr", "1e300*u", "--g-expr=-u", "--phi-expr",
+          "1e10", "--u", "0.5:2:4", "--v", "0:1:3", "--csv", "o",
+          "--obj", "o.obj"],
+         "non-finite coordinate x1=inf"),
+        (["invariants", "--f-expr", "u", "--g-expr=-1e-320*u", "--phi-expr",
+          "1", "--u", "0.5:2:3", "--v", "0:1:3", "--csv", "o"],
+         "non-finite coordinate x1=inf"),
     ], ids=["section-nan", "section-inf", "axis-inf", "projection-nan",
-            "family-nan", "section-entry-inf"])
+            "family-nan", "section-entry-inf", "immersion-overflow",
+            "frame-overflow"])
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_real(self, tmp_path, capsys, argv, wanted):
-        out = str(tmp_path / "o")
-        code = run_cli([out if a == "o" else a for a in argv])
+        code = run_cli([str(tmp_path / a) if a in ("o", "o.obj") else a
+                        for a in argv])
         self.assert_rejected(capsys, code, wanted)
         assert list(tmp_path.iterdir()) == []
 
@@ -577,7 +589,7 @@ class TestAtomicOutput:
         def failing(ju, jv):
             if np.any(ju.val >= u_fail):
                 raise ExprError("fails mid-grid", 0)
-            return base.immersion(ju, jv)
+            return immersion_of(base)(ju, jv)
 
         real_writer = exporters.atomic_writer
 
@@ -589,7 +601,7 @@ class TestAtomicOutput:
                     or fh.write(text))
 
         monkeypatch.setattr(exporters, "atomic_writer", counting_writer)
-        patch = SurfacePatch(failing, base.domain)
+        patch = SurfacePatch.of_immersion(failing, base.domain)
         out = tmp_path / "m.out"
         out.write_bytes(b"earlier output\n")
         with pytest.raises(ExprError):
@@ -614,10 +626,10 @@ class TestAtomicOutput:
         def immersion(ju, jv):
             if np.any(ju.val >= u_late):
                 raise ExprError("fails further on", 0)
-            z = base.immersion(ju, jv)
+            z = immersion_of(base)(ju, jv)
             return Jet2Vec4(z.x1, z.x2, z.x3, z.x4 + 10.0 * ju)
 
-        patch = SurfacePatch(immersion, base.domain)
+        patch = SurfacePatch.of_immersion(immersion, base.domain)
         with pytest.raises(NotSpacelike) as err:
             export_grid_csv(patch, grid, str(tmp_path / "b.csv"))
         assert (err.value.u, err.value.v) == (0.6, 0.1)

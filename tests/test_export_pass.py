@@ -22,8 +22,8 @@ from minksurf.meridian import ProfileCurvePhi, ProfilePair, build_parabolic
 from minksurf.surface import (GridSpec, Interval, Rect, SurfacePatch,
                               jet_eval_surface, point_data)
 
-from helpers import (grid_points, nan_near, random_parabolic_patch,
-                     reproducer_pair, row_format)
+from helpers import (grid_points, immersion_of, nan_near,
+                     random_parabolic_patch, reproducer_pair, row_format)
 
 FLIP = ((-1.0, 0.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, 0.5))
 
@@ -40,10 +40,10 @@ def negative_zero_patch():
     base = flat_patch()
 
     def immersion(ju, jv):
-        z = base.immersion(ju, jv)
+        z = immersion_of(base)(ju, jv)
         return Jet2Vec4(ju * -0.0, z.x2, z.x3, z.x4)
 
-    return SurfacePatch(immersion, base.domain)
+    return SurfacePatch.of_immersion(immersion, base.domain)
 
 
 def read_export(patch, grid, **kwargs):
@@ -150,9 +150,9 @@ def mid_grid_failure():
     def failing(ju, jv):
         if np.any(ju.val >= u_fail):
             raise ExprError("fails mid-grid", 0)
-        return base.immersion(ju, jv)
+        return immersion_of(base)(ju, jv)
 
-    return SurfacePatch(failing, base.domain), grid
+    return SurfacePatch.of_immersion(failing, base.domain), grid
 
 
 @pytest.mark.parametrize("projection, error", [
@@ -186,8 +186,8 @@ def test_a_block_run_again_names_the_first_point_without_a_warning(
         d = ju - 1.0
         return Jet2Vec4(ju, 1e100 * jv, 5e199 * d * d, Jet2.constant(0.0))
 
-    patch = SurfacePatch(immersion, Rect(Interval(0.0, 3.0),
-                                         Interval(0.0, 1.0)))
+    patch = SurfacePatch.of_immersion(immersion, Rect(Interval(0.0, 3.0),
+                                                      Interval(0.0, 1.0)))
     grid = GridSpec(3, 2, Interval(1.0, 2.0), Interval(0.0, 1.0))
     with pytest.raises(NotSpacelike):
         point_data(patch, *grid.lines())

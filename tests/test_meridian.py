@@ -23,7 +23,8 @@ from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                                plane_section_curvature, plane_section_phi,
                                profile_u, profile_v)
 
-from helpers import flat_points, grid_points, random_parabolic_patch
+from helpers import (flat_points, grid_points, immersion_of,
+                     random_parabolic_patch)
 
 TWO_PI = 2.0 * math.pi
 
@@ -496,20 +497,21 @@ class TestProfileLineMemo:
         fp, phi = _general_family()
         patch = build_parabolic(fp, phi)
         ju, jv = Jet2.seed_u(1.3), Jet2.seed_v(0.7)
-        patch.immersion(ju, jv)
+        immersion = immersion_of(patch)
+        immersion(ju, jv)
         point_data(patch, 1.3, 0.7)
-        got = patch.immersion(ju, jv * 2.0)
-        want = build_parabolic(fp, phi).immersion(ju, jv * 2.0)
+        got = immersion(ju, jv * 2.0)
+        want = immersion_of(build_parabolic(fp, phi))(ju, jv * 2.0)
         assert _bits(got) == _bits(want)
-        assert got.x1.dv != patch.immersion(ju, jv).x1.dv
+        assert got.x1.dv != immersion(ju, jv).x1.dv
 
     def test_signed_zeros_are_kept_apart(self):
         def phi_fn(jv):
             return Jet2(2.0 + np.copysign(0.5, jv.val))
         patch = build_parabolic(identity_pair(),
                                 ProfileCurvePhi(phi_fn, Interval(-1.0, 1.0)))
-        plus = patch.immersion(Jet2.seed_u(1.0), Jet2.seed_v(0.0))
-        minus = patch.immersion(Jet2.seed_u(1.0), Jet2.seed_v(-0.0))
+        plus = jet_eval_surface(patch, 1.0, 0.0)
+        minus = jet_eval_surface(patch, 1.0, -0.0)
         assert plus.x1.val == 2.5 and minus.x1.val == 1.5
 
     def test_array_point_data_is_unchanged(self):

@@ -23,12 +23,14 @@ from minksurf.meridian import (ClosedForms, LineJets, PlaneSection,
                                ProfileCurvePhi, ProfilePair, build_parabolic,
                                mt_cone_patch, mt_general_profile,
                                MTFamilyParams, RootBranch,
-                               parabolic_closed_forms, plane_section_phi)
+                               parabolic_closed_forms, parabolic_immersion,
+                               plane_section_phi)
 from minksurf.verify import VerificationReport
 
 from fd_oracle import fd_point_data
-from helpers import (flat_points, grid_points, math_rounding, nan_near,
-                     random_parabolic_patch, replaced, reproducer_pair)
+from helpers import (flat_points, grid_points, immersion_of, math_rounding,
+                     nan_near, random_parabolic_patch, replaced,
+                     reproducer_pair)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -141,8 +143,8 @@ class TestPointDataCanonicalValues:
                 [p.z_u.coords(), p.z_v.coords(), p.n1.coords(), p.n2.coords()]))
 
         assert det(point_data(flat_patch, 1.3, 0.7)) > 0.0
-        bare = SurfacePatch(immersion=flat_patch.immersion,
-                            domain=flat_patch.domain)
+        bare = SurfacePatch.of_immersion(immersion_of(flat_patch),
+                                         flat_patch.domain)
         assert det(point_data(bare, 1.3, 0.7)) > 0.0
         fp = ProfilePair(f=lambda j: 2.0 - j, g=lambda j: j * j,
                          domain=Interval(0.2, 0.9))
@@ -252,9 +254,8 @@ class TestSecondFormAtPoint:
             return Jet2Vec4(ju, jv, (ju * ju - jv * jv) * 0.5,
                             (0.6 * ju) * jv)
 
-        patch = SurfacePatch(immersion=saddle,
-                             domain=Rect(Interval(-0.4, 0.4),
-                                         Interval(-0.4, 0.4)))
+        patch = SurfacePatch.of_immersion(
+            saddle, Rect(Interval(-0.4, 0.4), Interval(-0.4, 0.4)))
         p = point_data(patch, 0.0, 0.0)
         assert p.k > 1e-10
 
@@ -264,9 +265,8 @@ class TestSecondFormAtPoint:
         def ridge(ju: Jet2, jv: Jet2) -> Jet2Vec4:
             return Jet2Vec4(ju, jv, (ju * ju) * 0.5, (0.5 * ju) * jv)
 
-        patch = SurfacePatch(immersion=ridge,
-                             domain=Rect(Interval(-0.4, 0.4),
-                                         Interval(-0.4, 0.4)))
+        patch = SurfacePatch.of_immersion(
+            ridge, Rect(Interval(-0.4, 0.4), Interval(-0.4, 0.4)))
         p = point_data(patch, 0.0, 0.0)
         assert max(abs(p.L), abs(p.M), abs(p.N)) > 1e-10
         assert abs(p.k) <= 1e-12
@@ -278,9 +278,8 @@ class TestSecondFormAtPoint:
                             jets.cos(ju) * jets.sin(jv),
                             jets.sin(ju), Jet2.constant(0.0))
 
-        patch = SurfacePatch(immersion=sphere,
-                             domain=Rect(Interval(-0.5, 0.5),
-                                         Interval(-0.5, 0.5)))
+        patch = SurfacePatch.of_immersion(
+            sphere, Rect(Interval(-0.5, 0.5), Interval(-0.5, 0.5)))
         p = point_data(patch, 0.1, 0.2)
         assert max(abs(p.L), abs(p.M), abs(p.N)) <= 1e-12
 
@@ -329,13 +328,13 @@ class TestReparametrization:
         phi = ProfileCurvePhi(phi=lambda j: 2.0 + jets.cos(j),
                               domain=Interval(0.0, 6.2))
         patch = build_parabolic(fp, phi)
-        base = SurfacePatch(immersion=patch.immersion, domain=patch.domain)
+        base = SurfacePatch.of_immersion(immersion_of(patch), patch.domain)
 
         def stretched(ju: Jet2, jv: Jet2) -> Jet2Vec4:
-            return patch.immersion(ju, jv * 2.0)
+            return immersion_of(patch)(ju, jv * 2.0)
 
         half_domain = Rect(patch.domain.u, Interval(0.0, 3.1))
-        again = SurfacePatch(immersion=stretched, domain=half_domain)
+        again = SurfacePatch.of_immersion(stretched, half_domain)
         p0 = point_data(base, 1.3, 1.6)
         p1 = point_data(again, 1.3, 0.8)
         assert abs(p0.k - p1.k) <= 1e-10
@@ -345,6 +344,37 @@ class TestReparametrization:
             assert abs(a - b) <= 1e-10
         # while the parametrization-dependent data really changed:
         assert abs(p0.G - p1.G) > 1e-3
+
+
+class TestKnownAnswers:
+    def test_sheared_general_surface(self):
+        # The claim suite's general surface (f = u, g = -u^2/2,
+        # phi = 2 + cos v) at u = s + 0.7 t, v = t: a generic patch with
+        # F != 0, on which a wrong term that vanishes where F = 0 or
+        # L = N = 0 shows.  K, <H, H> and k are invariants, so they are
+        # the closed forms at (s + 0.7 t, t), and the normal connection
+        # stays flat.
+        fp = ProfilePair(f=lambda j: j, g=lambda j: -(j * j) * 0.5,
+                         domain=Interval(0.5, 2.0))
+        phi = ProfileCurvePhi(phi=lambda j: 2.0 + jets.cos(j),
+                              domain=Interval(0.0, 2.0 * math.pi))
+
+        def sheared(js: Jet2, jt: Jet2) -> Jet2Vec4:
+            ju = js + 0.7 * jt
+            return parabolic_immersion(fp.f(ju), fp.g(ju), phi.phi(jt),
+                                       jets.cos(jt), jets.sin(jt))
+
+        grid = GridSpec(7, 5, Interval(0.6, 1.2), Interval(0.1, 0.9))
+        patch = SurfacePatch.of_immersion(
+            sheared, Rect(grid.u_range, grid.v_range))
+        ss, ts = grid.lines()
+        p = point_data(patch, ss, ts)
+        c = parabolic_closed_forms(fp, phi, ss + 0.7 * ts, ts)
+        assert np.min(abs(p.F)) > 0.9
+        for got, want in ((p.K, c.K), (p.k, c.k),
+                          (p.h_dot_h(), c.H1 * c.H1 - c.H2 * c.H2)):
+            assert np.max(abs(got - want) / abs(want)) <= 1e-12
+        assert np.max(abs(p.kappa_normal)) <= 1e-12
 
 
 class TestHalfTraceProperty:
@@ -399,7 +429,8 @@ class TestFiniteDifferenceOracle:
             jet_p = point_data(patch, u, v)
             # The oracle has no family frame: compare frame-free data and
             # frame data computed by the same canonical construction.
-            base = SurfacePatch(immersion=patch.immersion, domain=patch.domain)
+            base = SurfacePatch.of_immersion(immersion_of(patch),
+                                             patch.domain)
             jet_c = point_data(base, u, v)
             fd_c = fd_point_data(base, u, v, pure=pure)
             for name in ("E", "F", "G", "L", "M", "N", "k",
@@ -415,8 +446,8 @@ class TestNotSpacelike:
         def bad(ju: Jet2, jv: Jet2) -> Jet2Vec4:
             return Jet2Vec4(ju, jv * 0.1, Jet2.constant(0.0), jv)
 
-        patch = SurfacePatch(immersion=bad,
-                             domain=Rect(Interval(-1, 1), Interval(-1, 1)))
+        patch = SurfacePatch.of_immersion(
+            bad, Rect(Interval(-1, 1), Interval(-1, 1)))
         with pytest.raises(NotSpacelike):
             point_data(patch, 0.0, 0.0)
 
@@ -427,8 +458,8 @@ def _tilted_patch_and_grid():
     def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
         return Jet2Vec4(ju, jv, Jet2.constant(0.0), ju * jv)
 
-    patch = SurfacePatch(immersion, Rect(Interval(0.0, 1.0),
-                                         Interval(0.0, 1.0)))
+    patch = SurfacePatch.of_immersion(immersion, Rect(Interval(0.0, 1.0),
+                                                      Interval(0.0, 1.0)))
     return patch, GridSpec(5, 4, Interval(0.1, 0.9), Interval(0.1, 0.9))
 
 
@@ -827,14 +858,19 @@ class TestArrayEngine:
         check = surface._check_domain
         monkeypatch.setattr(surface, "_check_domain",
                             lambda *args: calls.append(args) or check(*args))
-        generic = SurfacePatch(flat_patch.immersion, flat_patch.domain)
+        generic = SurfacePatch.of_immersion(immersion_of(flat_patch),
+                                            flat_patch.domain)
         grid = GridSpec(4, 3, Interval(1.0, 2.0), Interval(0.0, 1.0))
+        # Two blocks of whole u lines: the grid is checked before either.
+        two_blocks = GridSpec(400, 3, Interval(1.0, 2.0), Interval(0.0, 1.0))
         for run in (lambda: point_data(flat_patch, 1.0, 0.5),
                     lambda: point_data(generic, 1.0, 0.5),
                     lambda: jet_eval_surface(flat_patch, 1.0, 0.5),
                     lambda: point_data(flat_patch, *grid.lines()),
                     lambda: export_grid(flat_patch, grid,
-                                        csv=str(tmp_path / "g.csv"))):
+                                        csv=str(tmp_path / "g.csv")),
+                    lambda: export_grid(generic, two_blocks,
+                                        csv=str(tmp_path / "h.csv"))):
             calls.clear()
             run()
             assert len(calls) == 1
@@ -868,12 +904,12 @@ def _moved(patch: SurfacePatch, motion: np.ndarray, shift) -> SurfacePatch:
     rows = motion.tolist()
 
     def immersion(ju: Jet2, jv: Jet2) -> Jet2Vec4:
-        z = patch.immersion(ju, jv)
+        z = immersion_of(patch)(ju, jv)
         xs = (z.x1, z.x2, z.x3, z.x4)
         return Jet2Vec4(*(sum((x * c for x, c in zip(xs, row)), Jet2(t))
                           for row, t in zip(rows, shift)))
 
-    return SurfacePatch(immersion=immersion, domain=patch.domain)
+    return SurfacePatch.of_immersion(immersion, patch.domain)
 
 
 class TestLorentzInvariance:
@@ -933,10 +969,11 @@ class TestReparametrisationInvariance:
             return dv.lo + dv.width * (jt + b * jt * jt) / (1.0 + b)
 
         unit = Rect(Interval(0.0, 1.0), Interval(0.0, 1.0))
-        again = SurfacePatch(lambda js, jt: patch.immersion(psi(js), chi(jt)),
-                             unit)
+        immersion = immersion_of(patch)
+        again = SurfacePatch.of_immersion(
+            lambda js, jt: immersion(psi(js), chi(jt)), unit)
         # The frame-free patch, so both sides use the canonical frame.
-        base = SurfacePatch(patch.immersion, patch.domain)
+        base = SurfacePatch.of_immersion(immersion, patch.domain)
         q = point_data(again, s, t)
         p = point_data(base, psi(Jet2.constant(s)).val,
                        chi(Jet2.constant(t)).val)

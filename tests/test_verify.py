@@ -23,7 +23,8 @@ from minksurf.verify import (GridSpec, VerificationReport, claim_suite,
                              verify_meridian_planarity, verify_ode_chain,
                              verify_second_fundamental_form)
 
-from helpers import random_parabolic_patch, replaced, reproducer_pair
+from helpers import (immersion_of, random_parabolic_patch, replaced,
+                     reproducer_pair)
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,9 +61,8 @@ class TestFlatNormalConnection:
         def plane(ju: Jet2, jv: Jet2) -> Jet2Vec4:
             return Jet2Vec4(ju, jv, Jet2.constant(0.0), Jet2.constant(0.0))
 
-        patch = SurfacePatch(immersion=plane,
-                             domain=Rect(Interval(-0.3, 0.3),
-                                         Interval(-0.5, 0.5)))
+        patch = SurfacePatch.of_immersion(
+            plane, Rect(Interval(-0.3, 0.3), Interval(-0.5, 0.5)))
         assert patch.profiles is None
         grid = GridSpec.for_patch(patch, 5, 5)
         for check in (verify_flat_normal_connection,
@@ -292,10 +292,11 @@ def _bent_copy(patch: SurfacePatch) -> SurfacePatch:
     line jets and the adapted frame no longer fit."""
 
     def bent(ju: Jet2, jv: Jet2) -> Jet2Vec4:
-        z = patch.immersion(ju, jv)
+        z = immersion_of(patch)(ju, jv)
         return Jet2Vec4(z.x1, z.x2, z.x3 + 1e-3 * jets.sin(ju), z.x4)
 
-    return replaced(patch, immersion=bent, frame=None, lines=None)
+    return replaced(SurfacePatch.of_immersion(bent, patch.domain),
+                    profiles=patch.profiles)
 
 
 class TestNegativeControls:
