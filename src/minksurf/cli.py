@@ -29,6 +29,7 @@ from .meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                        ProfilePair, RootBranch, SignBranch, build_parabolic,
                        kappa_bar_of_jet, mt_cone_patch, mt_general_profile,
                        plane_section_curvature, plane_section_phi, profile_v)
+from .minkowski import quiet
 from .surface import GridSpec, Interval
 from .verify import claim_suite, render_reports
 from . import exporters
@@ -212,9 +213,8 @@ def _cmd_section(args) -> int:
     phi = plane_section_phi(args.A, args.B, args.C, root)
     curvature = plane_section_curvature(args.A, args.B, args.C, root)
     vs = np.array(phi.domain.linspace(args.samples, inset=0.02))
-    # One jet of all samples feeds both the curvatures and the CSV rows;
-    # an overflow gives inf or NaN, which the checks name.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # One jet of all samples feeds both the curvatures and the CSV rows.
+    with quiet():
         pj = profile_v(phi.phi, vs)
         kb = kappa_bar_of_jet(pj, vs)
     # Python's sum adds in sample order; np.sum pairs, with other bits.

@@ -25,10 +25,9 @@ whole u lines of about :data:`BLOCK_POINTS` points:
   their targets only after the whole pass succeeds, so a run that fails
   leaves neither file and does not touch a file already at a target.
 
-The bytes are those of one ``%`` per value, whatever the blocks, and an
-error names the first failing point in row-major order: a block that
-fails is evaluated again point by point.
-Memory grows with the block, not with the grid, apart from the line jets,
+The bytes are those of one ``%`` per value, whatever the blocks.  The
+blocks run in grid order, and each names its first failing point (the
+rule of :mod:`minksurf.minkowski`), so an error names the grid's.  Memory grows with the block, not with the grid, apart from the line jets,
 which grow with nu + nv.
 
 ``minksurf._fmt17`` formats reals in uint64 numpy passes over chunks of
@@ -47,8 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Error, SingularProjection, UsageError
-from .minkowski import first_failure
+from .errors import SingularProjection, UsageError
+from .minkowski import first_failure, quiet
 from .surface import (GridSpec, SurfacePatch, checked_lines,
                       jet_eval_surface, point_data)
 
@@ -103,28 +102,6 @@ def _table(u, v, columns) -> np.ndarray:
     return np.stack(cols, axis=-1).reshape(-1, len(cols))
 
 
-def _blocks(us: np.ndarray, row: np.ndarray, k: int, lines, evaluate):
-    """``(U, evaluate(U, row, L))`` per block U of k rows of the (nu, 1)
-    column ``us`` of u samples, in grid order, with L the block's rows of
-    the grid's line jets ``lines``.  Broadcast with the (1, nv) row of v
-    samples, U gives the block's points in row-major order.  A block that
-    raises an :class:`Error` is evaluated again one point at a time, so
-    the error raised is the one of the first failing point.  Overflow
-    gives inf or NaN, which fail, without a numpy warning.
-    """
-    for i in range(0, len(us), k):
-        block_us = us[i:i + k]
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                block = evaluate(block_us, row, lines.u_rows(slice(i, i + k)))
-            except Error:
-                for u in block_us:
-                    for v in row.T:
-                        evaluate(u, v)
-                raise
-        yield block_us, block
-
-
 def write_csv(path: str, header: str, tables) -> int:
     """Write ``header`` and the rows of each 2-D table of reals to a CSV
     file, atomically; returns the number of data rows."""
@@ -172,20 +149,17 @@ def export_grid(patch: SurfacePatch, grid: GridSpec, csv: str | None = None,
     proj = _projection(projection) if obj else None
     us, row = grid.lines()
     nu, nv = us.size, row.size
-    # Blocks of k = max(1, BLOCK_POINTS // nv) whole u lines.
     k = max(1, BLOCK_POINTS // nv)
     header = POSITIONS_HEADER if positions_only else CSV_HEADER
 
-    if csv and not positions_only:
-        def evaluate(u, v, lines=None):
-            p = point_data(patch, u, v, lines=lines)
-            return _table(u, v, (*p.z.coords(), p.E, p.F, p.G, p.L, p.M,
-                                 p.N, p.k, p.kappa_normal, p.K,
-                                 *p.H.coords(), p.h_dot_h()))
-    else:
-        def evaluate(u, v, lines=None):
+    def evaluate(u, v, lines):
+        if positions_only or not csv:
             z = jet_eval_surface(patch, u, v, lines=lines).value()
             return _table(u, v, z.coords())
+        p = point_data(patch, u, v, lines=lines)
+        return _table(u, v, (*p.z.coords(), p.E, p.F, p.G, p.L, p.M, p.N,
+                             p.k, p.kappa_normal, p.K, *p.H.coords(),
+                             p.h_dot_h()))
 
     with ExitStack() as files:
         csv_fh = csv and files.enter_context(atomic_writer(csv))
@@ -198,13 +172,14 @@ def export_grid(patch: SurfacePatch, grid: GridSpec, csv: str | None = None,
         text = GridText(us.ravel(), row.ravel(),
                         len(header.split(",")) if csv else 0, bool(obj))
         xyz = None
-        for b, (block_us, table) in enumerate(
-                _blocks(us, row, k, lines, evaluate)):
+        for i in range(0, nu, k):
+            block_us = us[i:i + k]
+            table = evaluate(block_us, row, lines.u_rows(slice(i, i + k)))
             if obj:
                 # One 3x4 by 4x1 product per vertex, stacked: the bits of
                 # ``proj @ z`` for each vertex z.  An overflow is reported
                 # below as a non-finite vertex.
-                with np.errstate(over="ignore", invalid="ignore"):
+                with quiet():
                     xyz = (proj @ table[:, :4, None])[:, :, 0]
                 bad = first_failure(
                     ~np.isfinite(xyz).all(axis=1).reshape(len(block_us), nv),
@@ -213,7 +188,7 @@ def export_grid(patch: SurfacePatch, grid: GridSpec, csv: str | None = None,
                     raise SingularProjection(
                         "non-finite projected vertex at (u,v)=({},{})"
                         .format(*bad))
-            for rows, vertices in text.chunks(b * k * nv, table, xyz):
+            for rows, vertices in text.chunks(i * nv, table, xyz):
                 if csv_fh:
                     csv_fh.write(rows)
                 if obj_fh:

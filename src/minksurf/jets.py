@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .minkowski import OPS, Vec4M, first_failure
+from .minkowski import OPS, Vec4M, first_failure, quiet
 
 Scalar = Union[int, float]
 
@@ -157,7 +157,7 @@ def ln(x: Jet2) -> Jet2:
 def _in_float_range(func: str, x: Jet2, requirement: str, compute) -> tuple:
     """``compute()``, or DomainError at the first finite argument with an
     infinite result (an overflow gives inf)."""
-    with np.errstate(over="ignore"):
+    with quiet():
         results = compute()
     overflow = np.any(np.isinf(results), axis=0)
     _require(func, overflow & (abs(x.val) < math.inf), x, requirement)

@@ -21,7 +21,8 @@ every geometric quantity below is differentiated exactly.  A profile must
 accept jets whose slots are arrays: the line jets (:func:`line_jets`,
 through which a patch is evaluated), kappa_m, kappa_bar and the closed
 forms take u and v as arrays that broadcast together, like the surface
-engine, and a float argument evaluates as a numpy value.
+engine, and a float argument evaluates as a numpy value.  An error names
+the first failing sample (the rule of :mod:`minksurf.minkowski`).
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .errors import AdmissibilityError, CurvatureMismatch, Error, ParamError
+from .errors import AdmissibilityError, CurvatureMismatch, ParamError
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
-from .minkowski import (OPS, XI1, NullFrameCoords, Vec4M, first_failure,
-                        from_null_frame)
+from .minkowski import (OPS, XI1, NullFrameCoords, Vec4M, first_error,
+                        first_failure, from_null_frame)
 from .surface import Interval, LineJets, Rect, SurfacePatch, _read_only
 
 ProfileFn = Callable[[Jet2], Jet2]
@@ -165,26 +166,13 @@ def _v_jets(phi: ProfileCurvePhi, v) -> tuple[Jet2, Jet2, Jet2]:
     return pj, jets.cos(jv), jets.sin(jv)
 
 
-def _first_failing_sample(evaluate, profile, x):
-    """``evaluate(profile, x)`` in one pass.  A pass that fails is run
-    again one sample at a time, so the error names the first failing
-    sample.  Overflow gives inf or NaN, which fail."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return evaluate(profile, x)
-        except Error:
-            for s in np.ravel(x)[:, None]:
-                evaluate(profile, s)
-            raise
-
-
 def line_jets(fp: ProfilePair, phi: ProfileCurvePhi, u, v) -> LineJets:
     """The profile jets of the u lines (f and g) and v lines (phi, cos v
     and sin v) through (u, v), with the profile inequalities checked on
     them: at every u sample (f > 0 before -f'*g' > 0 at each), then at
     every v sample."""
-    return LineJets(_first_failing_sample(_u_jets, fp, u),
-                    _first_failing_sample(_v_jets, phi, v),
+    return LineJets(first_error(partial(_u_jets, fp), u),
+                    first_error(partial(_v_jets, phi), v),
                     parabolic_immersion)
 
 
@@ -416,8 +404,8 @@ def mt_cone_patch(a: float, b: float, phi: ProfileCurvePhi,
     if a >= 0.0:
         raise ParamError(f"a must be negative, got {a!r}")
     target = -1.0 / (2.0 * a)
-    kb = _first_failing_sample(kappa_bar, phi,
-                               np.array(phi.domain.linspace(201)))
+    kb = first_error(partial(kappa_bar, phi),
+                     np.array(phi.domain.linspace(201)))
     worst = max([0.0, *np.ravel(abs(kb * kb - target)).tolist()])
     if worst > 1e-9:
         raise CurvatureMismatch(worst)

@@ -14,8 +14,13 @@ float64 arrays that broadcast together, one element per point.  A float
 argument evaluates as a numpy value too.  :data:`OPS` is the table of
 numpy functions the engine uses, except that ``exp``, ``log`` and every
 real power map ``math`` over the elements, so each element has the bits
-of one ``math`` call.  :func:`first_failure` lets a guard fail if any
-element fails, naming the first failing element in row-major order.
+of one ``math`` call.
+
+This module owns the one evaluation rule of the package: an overflow
+gives inf or NaN without a numpy warning (:func:`quiet`); a guard names
+the first failing element in row-major order (:func:`first_failure`);
+and an engine call that raises runs again one element at a time, so its
+error is that of its first failing point (:func:`first_error`).
 """
 
 from __future__ import annotations
@@ -87,6 +92,27 @@ def first_failure(failed, *values):
     i = hits[0]
     return tuple(np.broadcast_to(x, shape).reshape(-1)[i].item()
                  for x in values)
+
+
+def quiet() -> np.errstate:
+    """An errstate under which overflow gives inf or NaN, with no numpy
+    warning; fresh per use, as numpy 2.4 enters no errstate twice."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def first_error(evaluate, *axes, **batch):
+    """``evaluate(*axes, **batch)`` under :func:`quiet`; if that raises an
+    :class:`Error`, ``evaluate(*point)`` runs again on each element of the
+    broadcast ``axes`` in row-major order, without ``batch``, so that the
+    error raised is the one of the first failing element."""
+    with quiet():
+        try:
+            return evaluate(*axes, **batch)
+        except Error:
+            flat = (np.ravel(a)[:, None] for a in np.broadcast_arrays(*axes))
+            for point in zip(*flat):
+                evaluate(*point)
+            raise
 
 
 class CausalCharacter(Enum):

@@ -21,16 +21,17 @@ the Minkowski cross product of z_u, z_v and n2.
 
 Everything here takes (u, v) as float64 arrays that broadcast together,
 a (k, 1) column of u and a (1, n) row of v giving a k x n block, and
-computes every point at once on numpy values (see
-:mod:`minksurf.minkowski`); a float argument evaluates as a numpy value.
-Each point's numbers do not depend on the block it is evaluated in.  A
-check fails if it fails at any point, naming the first point in
-row-major order where it fails.
+computes every point at once on numpy values; a float argument
+evaluates as a numpy value.  Each point's numbers do not depend on the
+block it is evaluated in.  Evaluation follows the one rule of
+:mod:`minksurf.minkowski`: an overflow gives inf or NaN, which a check
+names, and an error names the first failing point in row-major order.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -38,7 +39,8 @@ import numpy as np
 from .errors import DegenerateFrame, DomainError, NotSpacelike, ParamError
 from .jets import Jet2, Jet2Vec4
 from .minkowski import (E4, OPS, ZERO, CausalCharacter, Vec4M,
-                        causal_character, first_failure, inner)
+                        causal_character, first_error, first_failure, inner,
+                        quiet)
 
 if TYPE_CHECKING:
     from .meridian import ProfileCurvePhi, ProfilePair
@@ -208,7 +210,11 @@ def jet_eval_surface(patch: SurfacePatch, u: float, v: float,
     then not checked again."""
     if lines is None:
         lines = checked_lines(patch, u, v)
-    return lines.immersion()
+    return first_error(partial(_immersion, patch), u, v, lines=lines)
+
+
+def _immersion(patch: SurfacePatch, u, v, lines=None) -> Jet2Vec4:
+    return (patch.lines(u, v) if lines is None else lines).immersion()
 
 
 def _project_normal(w: Vec4M, z_u: Vec4M, z_v: Vec4M,
@@ -236,9 +242,8 @@ def _cross(a: Vec4M, b: Vec4M, c: Vec4M) -> Vec4M:
 
 
 def _metric(z_u: Vec4M, z_v: Vec4M) -> tuple:
-    """E, F, G and EG - F^2; an overflow gives inf or NaN without a numpy
-    warning, and the spacelike guard names it."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """E, F, G and EG - F^2; the spacelike guard names an overflow."""
+    with quiet():
         e = inner(z_u, z_u)
         f = inner(z_u, z_v)
         g = inner(z_v, z_v)
@@ -275,8 +280,7 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     n2 = nu.scale(1.0 / OPS.sqrt(-q))
 
     x = _cross(z_u, z_v, n2)
-    # inf - inf is NaN, which fails, without a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with quiet():     # inf - inf is NaN, which fails
         sq = inner(x, x)
     bad = first_failure((sq <= 0.0) | (sq != sq), sq)
     if bad:
@@ -338,6 +342,12 @@ def point_data(patch: SurfacePatch, u: float, v: float,
     for :func:`jet_eval_surface`; (u, v) is checked once either way."""
     if lines is None:
         lines = checked_lines(patch, u, v)
+    return first_error(partial(_point_data, patch), u, v, lines=lines)
+
+
+def _point_data(patch: SurfacePatch, u, v, lines=None) -> PointData:
+    if lines is None:
+        lines = patch.lines(u, v)
     jets = jet_eval_surface(patch, u, v, lines)
     return point_data_from_derivatives(
         u, v, jets.value(), jets.d_u(), jets.d_v(),

@@ -1,6 +1,7 @@
 """One export pass writes the CSV and the OBJ together: the same bytes as
 one file at a time, one evaluation per block, and no file when it fails."""
 
+import math
 import random
 import tempfile
 from contextlib import contextmanager
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 from minksurf import exporters
 from minksurf.cli import run_cli
 from minksurf.errors import (AdmissibilityError, Error, ExprError,
-                             NotSpacelike, SingularProjection)
+                             SingularProjection)
 from minksurf.exporters import DEFAULT_PROJECTION, export_grid
+from minksurf.expr import compile_profile
 from minksurf.jets import Jet2, Jet2Vec4
 from minksurf.meridian import ProfileCurvePhi, ProfilePair, build_parabolic
 from minksurf.surface import (GridSpec, Interval, Rect, SurfacePatch,
                               jet_eval_surface, point_data)
+from minksurf.verify import verify_flat_normal_connection
 
 from helpers import (grid_points, immersion_of, nan_near,
                      random_parabolic_patch, reproducer_pair, row_format)
@@ -180,8 +183,9 @@ def test_a_block_run_again_names_the_first_point_without_a_warning(
     # z = (u, 1e100 v, 5e199 (u - 1)^2, 0): E = 1 + (1e200 (u - 1))^2 is
     # inf for u > 1, so the block fails its metric check there.  At u = 1
     # the metric is finite, but G z_uu = 1e400 e3 overflows in the mean
-    # curvature trace: run again one point at a time, the block fails at
-    # its first point, with no numpy warning (an error under -W error).
+    # curvature trace: run again one point at a time, the block and the
+    # array call fail at its first point, with no numpy warning (an error
+    # under -W error).
     def immersion(ju, jv):
         d = ju - 1.0
         return Jet2Vec4(ju, 1e100 * jv, 5e199 * d * d, Jet2.constant(0.0))
@@ -189,15 +193,46 @@ def test_a_block_run_again_names_the_first_point_without_a_warning(
     patch = SurfacePatch.of_immersion(immersion, Rect(Interval(0.0, 3.0),
                                                       Interval(0.0, 1.0)))
     grid = GridSpec(3, 2, Interval(1.0, 2.0), Interval(0.0, 1.0))
-    with pytest.raises(NotSpacelike):
+    with pytest.raises(Error) as array:
         point_data(patch, *grid.lines())
     with pytest.raises(Error) as first:
         point_data(patch, 1.0, 0.0)
     with pytest.raises(Error) as export:
         export_grid(patch, grid, str(tmp_path / "x.csv"))
-    assert str(export.value) == str(first.value) == (
+    assert str(array.value) == str(export.value) == str(first.value) == (
         "non-finite coordinate x3=inf")
     assert list(tmp_path.iterdir()) == []
+
+
+def _overflowing_patch():
+    """f = 1e300 u and phi = 1e10: the immersion's x1 = f phi cos v
+    overflows at every point, though the profiles are admissible."""
+    return build_parabolic(
+        ProfilePair(compile_profile("1e300*u", "u"),
+                    compile_profile("-u", "u"), Interval(0.5, 2.0)),
+        ProfileCurvePhi(compile_profile("1e10", "v"), Interval(0.0, 1.0)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda p: point_data(p, 1.0, 0.5),
+    lambda p: point_data(p, *GridSpec.for_patch(p, 3, 3).lines()),
+    lambda p: verify_flat_normal_connection(p, GridSpec.for_patch(p, 3, 3)),
+], ids=["point", "grid", "certificate"])
+def test_an_overflow_is_named_on_every_entry(call):
+    # Each library entry evaluates under the one errstate of minkowski,
+    # so the non-finite coordinate is named with no numpy warning (an
+    # error here).
+    with pytest.raises(Error) as err:
+        call(_overflowing_patch())
+    assert str(err.value) == "non-finite coordinate x1=inf"
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_jets_return_without_a_warning():
+    # The immersion jets are not vectors yet, so nothing checks them.
+    jets = jet_eval_surface(_overflowing_patch(), 1.0, 0.5)
+    assert jets.x1.val == math.inf
 
 
 def flipped_near(x0: float):

@@ -320,6 +320,28 @@ class TestFrameIndependence:
                                         j.d_uu(), j.d_uv(), j.d_vv(),
                                         frame=(E1, E4))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_frame_tolerance_from_both_sides(self, scale):
+        # On the plane z = scale (u, v, 0, 0) the frame n1 = (0, sin t,
+        # cos t, 0), n2 = e4 is orthonormal and normal to z_u, and misses
+        # normality to z_v by exactly sin t, whatever the scale.
+        def plane(ju: Jet2, jv: Jet2) -> Jet2Vec4:
+            zero = Jet2.constant(0.0)
+            return Jet2Vec4(scale * ju, scale * jv, zero, zero)
+
+        patch = SurfacePatch.of_immersion(
+            plane, Rect(Interval(0.0, 1.0), Interval(0.0, 1.0)))
+
+        def tilted(t: float) -> SurfacePatch:
+            n1 = Vec4M(0.0, math.sin(t), math.cos(t), 0.0)
+            return replaced(patch, frame=lambda lines: (n1, E4))
+
+        # The documented tolerance, 1e-8, from both sides.
+        point_data(tilted(0.5e-8), 0.5, 0.5)
+        with pytest.raises(DegenerateFrame) as err:
+            point_data(tilted(2e-8), 0.5, 0.5)
+        assert err.value.quantity == math.sin(2e-8)
+
 
 class TestReparametrization:
     def test_v_rescaling_preserves_invariants(self):
@@ -375,6 +397,54 @@ class TestKnownAnswers:
                           (p.h_dot_h(), c.H1 * c.H1 - c.H2 * c.H2)):
             assert np.max(abs(got - want) / abs(want)) <= 1e-12
         assert np.max(abs(p.kappa_normal)) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [2.0, 0.5])
+    def test_h_floor_from_both_sides(self, ratio):
+        # The cylinder over the plane curve r(u) = (u + u^2, eps u^2) in
+        # (x1, x3) has |H| = eps / |r'|^3 and a trace of norm
+        # sqrt(1 + eps^2) / |r'|^2, so |H| / |trace| is about eps / |r'|;
+        # |r'| is within 10 % of 2 on the grid.  The documented floor,
+        # 1e-12, from both sides.
+        eps = ratio * 1e-12 * 2.0
+
+        def cylinder(ju: Jet2, jv: Jet2) -> Jet2Vec4:
+            return Jet2Vec4(ju + ju * ju, jv, eps * (ju * ju),
+                            Jet2.constant(0.0))
+
+        grid = GridSpec(5, 3, Interval(0.45, 0.55), Interval(0.0, 1.0))
+        patch = SurfacePatch.of_immersion(
+            cylinder, Rect(grid.u_range, grid.v_range))
+        us, vs = grid.lines()
+        p = point_data(patch, us, vs)
+        if ratio > 1.0:
+            speed = np.hypot(1.0 + 2.0 * us, 2.0 * eps * us)
+            want = eps / speed ** 3
+            got = p.H.euclidean_norm()
+            assert np.all(got > 0.0)
+            assert np.max(abs(got - want) / want) <= 1e-3
+        else:
+            assert all(np.all(x == 0.0) for x in p.H.coords())
+
+    def test_boosted_sphere(self):
+        # A round sphere of radius r in x4 = 0, parametrised with F != 0
+        # (longitude t + 0.7 s at colatitude s) and boosted in (x1, x4):
+        # K = <H, H> = 1/r^2 and the normal connection is flat.
+        r, ch, sh = 1.7, math.cosh(0.8), math.sinh(0.8)
+
+        def sphere(js: Jet2, jt: Jet2) -> Jet2Vec4:
+            lon = jt + 0.7 * js
+            x1 = r * jets.sin(js) * jets.cos(lon)
+            return Jet2Vec4(ch * x1, r * jets.sin(js) * jets.sin(lon),
+                            r * jets.cos(js), sh * x1)
+
+        grid = GridSpec(7, 6, Interval(0.4, 2.7), Interval(0.0, 6.0))
+        patch = SurfacePatch.of_immersion(
+            sphere, Rect(grid.u_range, grid.v_range))
+        p = point_data(patch, *grid.lines())
+        assert np.min(abs(p.F)) > 0.1
+        for got in (p.K, p.h_dot_h()):
+            assert np.max(abs(got * r * r - 1.0)) <= 1e-12
+        assert np.max(abs(p.kappa_normal)) * r * r <= 1e-12
 
 
 class TestHalfTraceProperty:
