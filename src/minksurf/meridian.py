@@ -17,12 +17,12 @@ paraboloid that carries every generating curve, and its
 constant-curvature plane sections.
 
 Profile functions are callables on :class:`~minksurf.jets.Jet2` values, so
-every geometric quantity below is differentiated exactly.  A profile must
-accept jets whose slots are arrays: the line jets (:func:`line_jets`,
-through which a patch is evaluated), kappa_m, kappa_bar and the closed
-forms take u and v as arrays that broadcast together, like the surface
-engine, and a float argument evaluates as a numpy value.  An error names
-the first failing sample (the rule of :mod:`minksurf.minkowski`).
+every geometric quantity below is differentiated exactly.  Here only the
+checked line jets (:func:`line_jets`) call a profile: a patch, kappa_m,
+kappa_bar, the closed forms and the meridian plane take their jets from
+them, under the rule of :mod:`minksurf.minkowski`, so an error names the
+first failing sample.  A profile must accept jets whose slots are arrays:
+u and v are arrays that broadcast together, or floats, as in the engine.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import jets
 from .errors import AdmissibilityError, CurvatureMismatch, ParamError
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
 from .minkowski import (OPS, XI1, NullFrameCoords, Vec4M, first_error,
-                        first_failure, from_null_frame)
+                        first_failure, from_null_frame, quiet)
 from .surface import Interval, LineJets, Rect, SurfacePatch, _read_only
 
 ProfileFn = Callable[[Jet2], Jet2]
@@ -97,41 +97,38 @@ def _positive(inequality: str, x, variable: str, at):
     return x
 
 
-def _meridian_e(fj: Jet2, gj: Jet2, u: float) -> float:
-    """E = -2 f'g', checked for -f'*g' > 0."""
-    return _positive("-f'*g' > 0", -2.0 * fj.du * gj.du, "u", u)
-
-
-def _phi_q(pj: Jet2, v: float) -> float:
-    """phi'^2 + phi^2, checked to be > 0."""
-    return _positive("phi'^2 + phi^2 > 0", pj.dv * pj.dv + pj.val * pj.val,
-                     "v", v)
+def _checked_phi(pj: Jet2, v) -> Jet2:
+    """phi's jet ``pj`` at v, checked for phi'^2 + phi^2 > 0."""
+    _positive("phi'^2 + phi^2 > 0", pj.dv * pj.dv + pj.val * pj.val, "v", v)
+    return pj
 
 
 def kappa_m(fp: ProfilePair, u: float) -> float:
     """Curvature of the meridian line: (f'g'' - g'f'') / (-2f'g')^(3/2)."""
-    fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)
-    return _kappa_m(fj, gj, _meridian_e(fj, gj, u))
+    return _kappa_m(*first_error(partial(_u_jets, fp), u))
 
 
-def _kappa_m(fj: Jet2, gj: Jet2, e: float) -> float:
-    return (fj.du * gj.duu - gj.du * fj.duu) / OPS.pow(e, 1.5)
+def _kappa_m(fj: Jet2, gj: Jet2) -> float:
+    with quiet():
+        return ((fj.du * gj.duu - gj.du * fj.duu)
+                / OPS.pow(-2.0 * fj.du * gj.du, 1.5))
 
 
 def kappa_bar(phi: ProfileCurvePhi, v: float) -> float:
     """Curvature of the generating curve:
     (phi*phi'' - 2 phi'^2 - phi^2) / (phi'^2 + phi^2)^(3/2)."""
-    return kappa_bar_of_jet(profile_v(phi.phi, v), v)
+    return _kappa_bar(first_error(partial(_phi_jet, phi), v)[0])
 
 
 def kappa_bar_of_jet(pj: Jet2, v: float) -> float:
     """:func:`kappa_bar` from phi's jet ``pj``, already evaluated at v."""
-    return _kappa_bar(pj, _phi_q(pj, v))
+    return _kappa_bar(_checked_phi(pj, v))
 
 
-def _kappa_bar(pj: Jet2, q: float) -> float:
-    return ((pj.val * pj.dvv - 2.0 * pj.dv * pj.dv - pj.val * pj.val)
-            / OPS.pow(q, 1.5))
+def _kappa_bar(pj: Jet2) -> float:
+    with quiet():
+        return ((pj.val * pj.dvv - 2.0 * pj.dv * pj.dv - pj.val * pj.val)
+                / OPS.pow(pj.dv * pj.dv + pj.val * pj.val, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +151,19 @@ def _u_jets(fp: ProfilePair, u) -> tuple[Jet2, Jet2]:
     """f and g at u, checked for f > 0, then for -f'*g' > 0."""
     fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)
     _positive("f > 0", fj.val, "u", u)
-    _meridian_e(fj, gj, u)
+    _positive("-f'*g' > 0", -2.0 * fj.du * gj.du, "u", u)
     return fj, gj
 
 
-def _v_jets(phi: ProfileCurvePhi, v) -> tuple[Jet2, Jet2, Jet2]:
-    """phi, cos v and sin v at v, checked for phi'^2 + phi^2 > 0."""
+def _phi_jet(phi: ProfileCurvePhi, v) -> tuple[Jet2, Jet2]:
+    """phi at v, checked for phi'^2 + phi^2 > 0, and the seed jet of v."""
     jv = Jet2.seed_v(v)
-    pj = phi.phi(jv)
-    _phi_q(pj, v)
+    return _checked_phi(phi.phi(jv), v), jv
+
+
+def _v_jets(phi: ProfileCurvePhi, v) -> tuple[Jet2, Jet2, Jet2]:
+    """phi (checked by :func:`_phi_jet`), cos v and sin v at v."""
+    pj, jv = _phi_jet(phi, v)
     return pj, jets.cos(jv), jets.sin(jv)
 
 
@@ -261,28 +262,28 @@ def parabolic_closed_forms(fp: ProfilePair, phi: ProfileCurvePhi,
         H1 = sign(f') kappa_bar / (2 f),
         H2 = (sign(f') kappa_m + |f'| / (f sqrt(-2 f' g'))) / 2.
     """
-    fj, gj = profile_u(fp.f, u), profile_u(fp.g, u)
-    pj = profile_v(phi.phi, v)
-    e = _meridian_e(fj, gj, u)
-    q = _phi_q(pj, v)
-    km = _kappa_m(fj, gj, e)
-    kb = _kappa_bar(pj, q)
-    f = fj.val
-    g = f * f * q
-    w = OPS.sqrt(e * g)
-    sgn = OPS.copysign(1.0, fj.du)
-    root_e = OPS.sqrt(e)
-    return ClosedForms(
-        E=e, F=0.0, G=g,
-        L=0.0,
-        M=km * kb * w / f,
-        N=0.0,
-        k=-(km * km) * (kb * kb) / (f * f),
-        kappa_normal=0.0,
-        K=-fj.du * km / (f * root_e),
-        H1=sgn * kb / (2.0 * f),
-        H2=0.5 * (sgn * km + abs(fj.du) / (f * root_e)),
-    )
+    lines = line_jets(fp, phi, u, v)
+    (fj, gj), pj = lines.u, lines.v[0]
+    km, kb = _kappa_m(fj, gj), _kappa_bar(pj)
+    with quiet():
+        e = -2.0 * fj.du * gj.du
+        q = pj.dv * pj.dv + pj.val * pj.val
+        f = fj.val
+        g = f * f * q
+        w = OPS.sqrt(e * g)
+        sgn = OPS.copysign(1.0, fj.du)
+        root_e = OPS.sqrt(e)
+        return ClosedForms(
+            E=e, F=0.0, G=g,
+            L=0.0,
+            M=km * kb * w / f,
+            N=0.0,
+            k=-(km * km) * (kb * kb) / (f * f),
+            kappa_normal=0.0,
+            K=-fj.du * km / (f * root_e),
+            H1=sgn * kb / (2.0 * f),
+            H2=0.5 * (sgn * km + abs(fj.du) / (f * root_e)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,12 @@ def mt_general_profile(params: MTFamilyParams,
         raise ParamError(
             f"empty admissible u-interval for a={a!r}, c={c!r}, branch={params.sign_branch}")
 
-    scale = s / (2.0 * a ** 3)
+    try:
+        scale = s / (2.0 * a ** 3)
+    except (ZeroDivisionError, OverflowError):
+        scale = math.inf
+    if not 0.0 < abs(scale) < math.inf:
+        raise ParamError(f"a={a!r} is out of range: 2 a^3 and 1/(2 a^3) must fit a float")
 
     def g(ju: Jet2) -> Jet2:
         q = c - (s * a) * ju
@@ -404,9 +410,9 @@ def mt_cone_patch(a: float, b: float, phi: ProfileCurvePhi,
     if a >= 0.0:
         raise ParamError(f"a must be negative, got {a!r}")
     target = -1.0 / (2.0 * a)
-    kb = first_error(partial(kappa_bar, phi),
-                     np.array(phi.domain.linspace(201)))
-    worst = max([0.0, *np.ravel(abs(kb * kb - target)).tolist()])
+    kb = kappa_bar(phi, np.array(phi.domain.linspace(201)))
+    with quiet():
+        worst = max([0.0, *np.ravel(abs(kb * kb - target)).tolist()])
     if worst > 1e-9:
         raise CurvatureMismatch(worst)
     fp = ProfilePair(f=lambda ju: ju,
@@ -500,5 +506,5 @@ def plane_section_curvature(A: float, B: float, C: float,
 def meridian_plane(phi: ProfileCurvePhi, v0: float) -> tuple[Vec4M, Vec4M]:
     """Spanning pair (xi1, zbar(v0)) of the lightlike 2-plane containing
     the meridian at v = v0."""
-    p = profile_v(phi.phi, v0).val
+    p = first_error(partial(_phi_jet, phi), v0)[0].val
     return XI1, paraboloid_point(p, v0)

@@ -17,10 +17,11 @@ real power map ``math`` over the elements, so each element has the bits
 of one ``math`` call.
 
 This module owns the one evaluation rule of the package: an overflow
-gives inf or NaN without a numpy warning (:func:`quiet`); a guard names
-the first failing element in row-major order (:func:`first_failure`);
-and an engine call that raises runs again one element at a time, so its
-error is that of its first failing point (:func:`first_error`).
+or a division by zero gives inf or NaN without a numpy warning
+(:func:`quiet`); a guard names the first failing element in row-major
+order (:func:`first_failure`); and an engine call that raises runs again
+one element at a time, so its error is that of its first failing point
+(:func:`first_error`).
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ def first_failure(failed, *values):
 
 
 def quiet() -> np.errstate:
-    """An errstate under which overflow gives inf or NaN, with no numpy
-    warning; fresh per use, as numpy 2.4 enters no errstate twice."""
-    return np.errstate(over="ignore", invalid="ignore")
+    """An errstate under which overflow and division by zero give inf or
+    NaN, with no numpy warning; fresh per use, as numpy 2.4 enters no
+    errstate twice."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def first_error(evaluate, *axes, **batch):

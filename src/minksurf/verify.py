@@ -24,7 +24,7 @@ import numpy as np
 from . import jets as _j
 from .errors import UsageError
 from .jets import Jet2
-from .minkowski import Vec4M, first_failure, inner
+from .minkowski import Vec4M, first_failure, inner, quiet
 from .surface import (GridSpec, Interval, SurfacePatch,
                       is_marginally_trapped, jet_eval_surface, point_data)
 # profile_v is not called here; perfbench/spans.py counts profile
@@ -191,17 +191,18 @@ def verify_ode_chain(params: MTFamilyParams,
     s = params.sign_branch.value
     a = params.a
     u = np.array(prof.domain.linspace(200, inset=0.01))
-    gj = profile_u(prof.g, u)
-    g1, g2 = gj.du, gj.duu
-    rhs = s * a * (-2.0 * g1) ** 1.5
-    scale = _max(1.0, abs(u * g2), abs(2.0 * g1), abs(rhs))
-    r_ode = abs(-u * g2 + 2.0 * g1 - rhs) / scale
-    h = 1.0 / np.sqrt(-2.0 * g1)
-    h_prime = g2 * (-2.0 * g1) ** -1.5
-    scale = _max(1.0, abs(h_prime), abs(h / u), abs(a / u))
-    r_lin = abs(h_prime + h / u + s * a / u) / scale
-    want = mt_general_gprime(params, u)
-    r_gp = abs(g1 - want) / np.maximum(1.0, abs(want))
+    with quiet():
+        gj = profile_u(prof.g, u)
+        g1, g2 = gj.du, gj.duu
+        rhs = s * a * (-2.0 * g1) ** 1.5
+        scale = _max(1.0, abs(u * g2), abs(2.0 * g1), abs(rhs))
+        r_ode = abs(-u * g2 + 2.0 * g1 - rhs) / scale
+        h = 1.0 / np.sqrt(-2.0 * g1)
+        h_prime = g2 * (-2.0 * g1) ** -1.5
+        scale = _max(1.0, abs(h_prime), abs(h / u), abs(a / u))
+        r_lin = abs(h_prime + h / u + s * a / u) / scale
+        want = mt_general_gprime(params, u)
+        r_gp = abs(g1 - want) / np.maximum(1.0, abs(want))
     subs = {"ode_residual": r_ode, "linear_residual": r_lin,
             "gprime_residual": r_gp}
     return _grid_report("profile-ode-chain", _max(*subs.values()), u,

@@ -398,9 +398,22 @@ class TestRejectedInputs:
         (["invariants", "--f-expr", "u", "--g-expr=-1e-320*u", "--phi-expr",
           "1", "--u", "0.5:2:3", "--v", "0:1:3", "--csv", "o"],
          "non-finite coordinate x1=inf"),
+        # A finite --a whose 2 a^3 underflows to 0, whose a^3 overflows
+        # (two tracebacks), whose 1/(2 a^3) is inf or whose 2 a^3 alone
+        # overflows (two symptoms, -f'*g' > 0 violated); each section's
+        # curvature is a.
+        *((["family", "--type", "parabolic-mt", f"--a={a}", "--b", "0",
+            "--c", "1", "--sign", "plus", "--section",
+            f"A={A},B=0,C=0,root=plus", "--u", "0.2:3:5", "--v", "0:1:5",
+            "--csv", "o"],
+           f"error: a={float(a)!r} is out of range: 2 a^3 and 1/(2 a^3) "
+           "must fit a float\n")
+          for a, A in (("-1e-120", "1e120"), ("-1e120", "1e-120"),
+                       ("-1e-104", "1e104"), ("-5e102", "2e-103"))),
     ], ids=["section-nan", "section-inf", "axis-inf", "projection-nan",
             "family-nan", "section-entry-inf", "immersion-overflow",
-            "frame-overflow"])
+            "frame-overflow", "a-cube-underflow", "a-cube-overflow",
+            "a-reciprocal-overflow", "a-doubled-cube-overflow"])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_real(self, tmp_path, capsys, argv, wanted):
         code = run_cli([str(tmp_path / a) if a in ("o", "o.obj") else a

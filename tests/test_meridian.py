@@ -200,6 +200,45 @@ class TestKappaBar:
             assert abs(kappa_bar(phi, v)) <= 1e-11
 
 
+class TestOneRouteToTheJets:
+    """kappa_m, kappa_bar, the closed forms and the meridian plane take
+    their jets from the checked line jets, under the rule of minkowski:
+    an overflow gives inf or NaN, which a check names, with no numpy
+    warning (an error here)."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_closed_forms_overflow_without_a_warning(self):
+        fp = ProfilePair(f=lambda j: 1e300 * j, g=lambda j: -j,
+                         domain=Interval(0.5, 2.0))
+        phi = ProfileCurvePhi(phi=lambda j: Jet2.constant(1e10),
+                              domain=Interval(0.0, 1.0))
+        cf = parabolic_closed_forms(fp, phi, 1.0, 0.5)
+        assert cf.G == math.inf
+        assert math.isnan(cf.M)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call,phi", [
+        (kappa_bar, lambda j: 1e200 * jets.cos(j)),
+        (meridian_plane, lambda j: 1e200 * jets.cos(j) + 1e200),
+    ], ids=["kappa_bar", "meridian_plane"])
+    def test_overflowing_phi_is_named(self, call, phi):
+        with pytest.raises(AdmissibilityError) as err:
+            call(ProfileCurvePhi(phi, Interval(0.0, 1.0)), 0.5)
+        assert str(err.value) == "phi'^2 + phi^2 > 0 violated at v = 0.5"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda fp: kappa_m(fp, 0.5),
+        lambda fp: parabolic_closed_forms(fp, unit_phi(), 0.5, 0.5),
+    ], ids=["kappa_m", "closed_forms"])
+    def test_f_must_be_positive(self, call):
+        fp = ProfilePair(f=lambda j: j - 1.0, g=lambda j: -j,
+                         domain=Interval(0.2, 2.0))
+        with pytest.raises(AdmissibilityError) as err:
+            call(fp)
+        assert str(err.value) == "f > 0 violated at u = 0.5"
+
+
 class TestMtGeneralProfile:
     def test_closed_form_and_derivative(self):
         params = MTFamilyParams(a=-1.0, b=0.0, c=1.0,
@@ -276,6 +315,17 @@ class TestMtConePatch:
     def test_positive_a_rejected(self):
         with pytest.raises(ParamError):
             mt_cone_patch(0.5, 0.0, unit_phi())
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_curvature_square_is_a_mismatch(self):
+        # At the sample v = 1, kappa_bar = phi'' / phi^2 = 2e300, whose
+        # square overflows to inf, with no numpy warning first.
+        phi = ProfileCurvePhi(
+            phi=lambda j: 1e-100 + 1e100 * (j - 1.0) * (j - 1.0),
+            domain=Interval(0.0, 2.0))
+        with pytest.raises(CurvatureMismatch) as err:
+            mt_cone_patch(-0.5, 0.0, phi)
+        assert err.value.max_deviation == math.inf
 
     def test_samples_are_checked_in_order(self):
         # phi = exp(800 v): phi'^2 overflows from v = 0.5 on, exp itself

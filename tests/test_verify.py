@@ -42,6 +42,18 @@ def cubic_patch() -> SurfacePatch:
     return build_parabolic(fp, phi)
 
 
+def curved_f_patch() -> SurfacePatch:
+    """f = 1.5 + exp(-u), g = ln u + u^1.5, phi = 2 + 0.5 sin v.  Its
+    f'' is nonzero, so a wrong f'' term in the closed forms shows; every
+    other family here has a linear f."""
+    fp = ProfilePair(f=lambda j: 1.5 + jets.exp(-j),
+                     g=lambda j: jets.ln(j) + j ** 1.5,
+                     domain=Interval(0.5, 2.0))
+    phi = ProfileCurvePhi(phi=lambda j: 2.0 + 0.5 * jets.sin(j),
+                          domain=Interval(0.0, TWO_PI))
+    return build_parabolic(fp, phi)
+
+
 class TestFlatNormalConnection:
     def test_passes_on_generic_family(self):
         patch = cubic_patch()
@@ -81,6 +93,13 @@ class TestSecondFundamentalForm:
         grid = GridSpec.for_patch(patch, 30, 30)
         assert verify_second_fundamental_form(patch, grid).passed
 
+    def test_curved_f_profile(self):
+        patch = curved_f_patch()
+        report = verify_second_fundamental_form(
+            patch, GridSpec.for_patch(patch, 30, 20))
+        assert report.passed
+        assert report.max_residual <= 1e-13
+
 
 class TestClosedFormInvariants:
     def test_passes_on_random_families(self):
@@ -90,6 +109,13 @@ class TestClosedFormInvariants:
             grid = GridSpec.for_patch(patch, 15, 15)
             report = verify_closed_form_invariants(patch, grid)
             assert report.passed, report
+
+    def test_curved_f_profile(self):
+        patch = curved_f_patch()
+        report = verify_closed_form_invariants(
+            patch, GridSpec.for_patch(patch, 30, 20))
+        assert report.passed
+        assert report.max_residual <= 1e-13
 
     def test_cone_gauss_curvature_vanishes(self):
         # kappa_m = 0 makes K identically zero on the cone family.
@@ -153,6 +179,16 @@ class TestOdeChain:
     def test_param_error(self):
         with pytest.raises(ParamError):
             MTFamilyParams(a=-1.0, b=0.0, c=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_gprime_fails_without_a_warning(self):
+        # g' underflows to 0 at the first sample, so 1/sqrt(-2 g') is
+        # inf there: the linear residual is NaN and fails the claim.
+        report = verify_ode_chain(MTFamilyParams(a=-1.0, b=0.0, c=1e200))
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+        assert math.isnan(report.details["linear_residual"])
+        assert report.worst_point == (0.10000099000000001, 0.0)
 
 
 class TestSectionCurvature:
