@@ -29,7 +29,7 @@ from .meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                        ProfilePair, RootBranch, SignBranch, build_parabolic,
                        kappa_bar_of_jet, mt_cone_patch, mt_general_profile,
                        plane_section_curvature, plane_section_phi, profile_v)
-from .minkowski import quiet
+from .minkowski import out_of_bound, quiet
 from .surface import GridSpec, Interval
 from .verify import claim_suite, render_reports
 from . import exporters
@@ -55,7 +55,7 @@ def _real(text: str, what: str, positive: bool = False) -> float:
         x = float(text)
     except ValueError:
         x = math.nan
-    if not (0.0 if positive else -math.inf) < x < math.inf:
+    if out_of_bound(x, 0.0 if positive else -math.inf):
         need = "value > 0" if positive else "real"
         raise UsageError(f"{what} needs a finite {need}, got {text!r}")
     return x

@@ -27,8 +27,9 @@ whole u lines of about :data:`BLOCK_POINTS` points:
 
 The bytes are those of one ``%`` per value, whatever the blocks.  The
 blocks run in grid order, and each names its first failing point (the
-rule of :mod:`minksurf.minkowski`), so an error names the grid's.  Memory grows with the block, not with the grid, apart from the line jets,
-which grow with nu + nv.
+rule of :mod:`minksurf.minkowski`), so an error names the grid's.
+Memory grows with the block, not with the grid, apart from the line
+jets, which grow with nu + nv.
 
 ``minksurf._fmt17`` formats reals in uint64 numpy passes over chunks of
 up to 4096 values; any value whose rounding they cannot certify is
@@ -47,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularProjection, UsageError
-from .minkowski import first_failure, quiet
+from .minkowski import first_failure, out_of_bound, quiet
 from .surface import (GridSpec, SurfacePatch, checked_lines,
                       jet_eval_surface, point_data)
 
@@ -121,7 +122,7 @@ def _projection(projection: Sequence[Sequence[float]]) -> np.ndarray:
     if proj.shape != (3, 4):
         raise SingularProjection(f"projection must be 3x4, got {proj.shape}")
     sv = np.linalg.svd(proj, compute_uv=False)
-    if not sv[2] > 1e-12 * sv[0]:
+    if out_of_bound(sv[2], 1e-12 * sv[0]):
         raise SingularProjection(
             f"projection matrix has rank < 3 (singular values {sv})")
     return proj

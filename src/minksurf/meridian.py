@@ -38,7 +38,7 @@ from . import jets
 from .errors import AdmissibilityError, CurvatureMismatch, ParamError
 from .jets import Jet2, Jet2Vec4, vec_from_null_jets
 from .minkowski import (OPS, XI1, NullFrameCoords, Vec4M, first_error,
-                        first_failure, from_null_frame, quiet)
+                        first_failure, from_null_frame, out_of_bound, quiet)
 from .surface import Interval, LineJets, Rect, SurfacePatch, _read_only
 
 ProfileFn = Callable[[Jet2], Jet2]
@@ -89,9 +89,9 @@ def profile_v(fn: ProfileFn, v: float) -> Jet2:
 # ---------------------------------------------------------------------------
 
 def _positive(inequality: str, x, variable: str, at):
-    """x, checked finite and > 0 (NaN and inf fail, so an overflow is named
-    by its inequality); an error names the first failing ``at``."""
-    bad = first_failure((x <= 0.0) | (x != x) | (x == math.inf), at)
+    """x, checked finite and > 0 (so an overflow is named by its
+    inequality); an error names the first failing ``at``."""
+    bad = first_failure(out_of_bound(x, 0.0), at)
     if bad:
         raise AdmissibilityError(inequality, variable, *bad)
     return x
@@ -117,7 +117,7 @@ def _kappa_m(fj: Jet2, gj: Jet2) -> float:
 def kappa_bar(phi: ProfileCurvePhi, v: float) -> float:
     """Curvature of the generating curve:
     (phi*phi'' - 2 phi'^2 - phi^2) / (phi'^2 + phi^2)^(3/2)."""
-    return _kappa_bar(first_error(partial(_phi_jet, phi), v)[0])
+    return _kappa_bar(first_error(partial(_phi_jet, phi), v))
 
 
 def kappa_bar_of_jet(pj: Jet2, v: float) -> float:
@@ -155,16 +155,15 @@ def _u_jets(fp: ProfilePair, u) -> tuple[Jet2, Jet2]:
     return fj, gj
 
 
-def _phi_jet(phi: ProfileCurvePhi, v) -> tuple[Jet2, Jet2]:
-    """phi at v, checked for phi'^2 + phi^2 > 0, and the seed jet of v."""
-    jv = Jet2.seed_v(v)
-    return _checked_phi(phi.phi(jv), v), jv
+def _phi_jet(phi: ProfileCurvePhi, v) -> Jet2:
+    """phi at v, checked for phi'^2 + phi^2 > 0."""
+    return _checked_phi(profile_v(phi.phi, v), v)
 
 
 def _v_jets(phi: ProfileCurvePhi, v) -> tuple[Jet2, Jet2, Jet2]:
     """phi (checked by :func:`_phi_jet`), cos v and sin v at v."""
-    pj, jv = _phi_jet(phi, v)
-    return pj, jets.cos(jv), jets.sin(jv)
+    jv = Jet2.seed_v(v)
+    return _phi_jet(phi, v), jets.cos(jv), jets.sin(jv)
 
 
 def line_jets(fp: ProfilePair, phi: ProfileCurvePhi, u, v) -> LineJets:
@@ -332,7 +331,7 @@ class MTFamilyParams:
         if section is not None:
             target = plane_section_curvature(section.A, section.B, section.C,
                                              section.root_branch)
-            if abs(target - a) > 1e-12 * max(1.0, abs(a)):
+            if out_of_bound(abs(target - a), hi=1e-12 * max(1.0, abs(a))):
                 raise ParamError(
                     f"section curvature {target!r} does not match a={a!r}")
         object.__setattr__(self, "a", a)
@@ -378,7 +377,7 @@ def mt_general_profile(params: MTFamilyParams,
         scale = s / (2.0 * a ** 3)
     except (ZeroDivisionError, OverflowError):
         scale = math.inf
-    if not 0.0 < abs(scale) < math.inf:
+    if out_of_bound(abs(scale), 0.0):
         raise ParamError(f"a={a!r} is out of range: 2 a^3 and 1/(2 a^3) must fit a float")
 
     def g(ju: Jet2) -> Jet2:
@@ -411,9 +410,9 @@ def mt_cone_patch(a: float, b: float, phi: ProfileCurvePhi,
         raise ParamError(f"a must be negative, got {a!r}")
     target = -1.0 / (2.0 * a)
     kb = kappa_bar(phi, np.array(phi.domain.linspace(201)))
-    with quiet():
-        worst = max([0.0, *np.ravel(abs(kb * kb - target)).tolist()])
-    if worst > 1e-9:
+    with quiet():     # unlike Python's max, np.max keeps a NaN
+        worst = np.max(abs(kb * kb - target)).item()
+    if out_of_bound(worst, hi=1e-9):
         raise CurvatureMismatch(worst)
     fp = ProfilePair(f=lambda ju: ju,
                      g=lambda ju: a * ju + b,
@@ -437,7 +436,8 @@ def _theta_jet(a: float, b: float, jv: Jet2) -> Jet2:
 
 def _section_span(A: float, B: float, C: float) -> float:
     span = A * A + B * B - 2.0 * C
-    if span <= 0.0:
+    # hi = inf: an overflowed span passes here, and phi's check names it.
+    if out_of_bound(span, 0.0, math.inf):
         raise ParamError(f"A^2 + B^2 - 2C = {span!r} must be > 0")
     return span
 
@@ -506,5 +506,5 @@ def plane_section_curvature(A: float, B: float, C: float,
 def meridian_plane(phi: ProfileCurvePhi, v0: float) -> tuple[Vec4M, Vec4M]:
     """Spanning pair (xi1, zbar(v0)) of the lightlike 2-plane containing
     the meridian at v = v0."""
-    p = first_error(partial(_phi_jet, phi), v0)[0].val
+    p = first_error(partial(_phi_jet, phi), v0).val
     return XI1, paraboloid_point(p, v0)

@@ -18,10 +18,11 @@ of one ``math`` call.
 
 This module owns the one evaluation rule of the package: an overflow
 or a division by zero gives inf or NaN without a numpy warning
-(:func:`quiet`); a guard names the first failing element in row-major
-order (:func:`first_failure`); and an engine call that raises runs again
-one element at a time, so its error is that of its first failing point
-(:func:`first_error`).
+(:func:`quiet`), which fails the check that meets it, as every bound is
+tested by :func:`out_of_bound`; a guard names the first failing element
+in row-major order (:func:`first_failure`); and an engine call that
+raises runs again one element at a time, so its error is that of its
+first failing point (:func:`first_error`).
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ OPS = SimpleNamespace(
     hypot=lambda *xs: reduce(np.hypot, xs),
     max=lambda *xs: reduce(np.maximum, xs),
     where=_where)
+
+
+def out_of_bound(x, lo=-math.inf, hi=np.finfo(float).max):
+    """True where x (a float or an array) is not a number with
+    lo < x <= hi: NaN and -inf fail every bound, and +inf fails unless
+    ``hi`` is inf (by default, the largest float: x must be finite)."""
+    return np.logical_not((lo < x) & (x <= hi))
 
 
 def first_failure(failed, *values):

@@ -30,7 +30,6 @@ names, and an error names the first failing point in row-major order.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -40,7 +39,7 @@ from .errors import DegenerateFrame, DomainError, NotSpacelike, ParamError
 from .jets import Jet2, Jet2Vec4
 from .minkowski import (E4, OPS, ZERO, CausalCharacter, Vec4M,
                         causal_character, first_error, first_failure, inner,
-                        quiet)
+                        out_of_bound, quiet)
 
 if TYPE_CHECKING:
     from .meridian import ProfileCurvePhi, ProfilePair
@@ -242,18 +241,13 @@ def _cross(a: Vec4M, b: Vec4M, c: Vec4M) -> Vec4M:
 
 
 def _metric(z_u: Vec4M, z_v: Vec4M) -> tuple:
-    """E, F, G and EG - F^2; the spacelike guard names an overflow."""
-    with quiet():
-        e = inner(z_u, z_u)
-        f = inner(z_u, z_v)
-        g = inner(z_v, z_v)
-        return e, f, g, e * g - f * f
-
-
-def _not_spacelike(e, det2):
-    """Where E or EG - F^2 is not a finite number > 0 (NaN and inf fail)."""
-    return ((e <= 0.0) | (det2 <= 0.0) | (e != e) | (det2 != det2)
-            | (e == math.inf) | (det2 == math.inf))
+    """E, F, G and EG - F^2, and where E or EG - F^2 is not a finite
+    number > 0: not spacelike, or overflowed."""
+    e = inner(z_u, z_u)
+    f = inner(z_u, z_v)
+    g = inner(z_v, z_v)
+    det2 = e * g - f * f
+    return e, f, g, det2, out_of_bound(e, 0.0) | out_of_bound(det2, 0.0)
 
 
 def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
@@ -265,27 +259,27 @@ def normal_frame(z_u: Vec4M, z_v: Vec4M) -> tuple[Vec4M, Vec4M]:
     z_u, z_v and n2: <x,x> = EG - F^2 > 0 in exact arithmetic, and the
     sign makes det[z_u | z_v | n1 | n2] = sqrt(<x,x>) > 0.
     """
-    e, f, g, det2 = _metric(z_u, z_v)
-    bad = first_failure(_not_spacelike(e, det2), e, det2)
-    if bad:
-        raise NotSpacelike(None, None, *bad)
+    with quiet():
+        e, f, g, det2, not_spacelike = _metric(z_u, z_v)
+        bad = first_failure(not_spacelike, e, det2)
+        if bad:
+            raise NotSpacelike(None, None, *bad)
 
-    nu = _project_normal(E4, z_u, z_v, e, f, g, det2)
-    q = inner(nu, nu)
-    bad = first_failure(q >= -NORMAL_TOL, q)
-    if bad:
-        raise DegenerateFrame(
-            "normal space contains no timelike direction (<nu,nu>={!r})"
-            .format(*bad), *bad)
-    n2 = nu.scale(1.0 / OPS.sqrt(-q))
+        nu = _project_normal(E4, z_u, z_v, e, f, g, det2)
+        q = inner(nu, nu)
+        bad = first_failure(out_of_bound(-q, NORMAL_TOL), q)
+        if bad:
+            raise DegenerateFrame(
+                "normal space contains no timelike direction (<nu,nu>={!r})"
+                .format(*bad), *bad)
+        n2 = nu.scale(1.0 / OPS.sqrt(-q))
 
-    x = _cross(z_u, z_v, n2)
-    with quiet():     # inf - inf is NaN, which fails
+        x = _cross(z_u, z_v, n2)
         sq = inner(x, x)
-    bad = first_failure((sq <= 0.0) | (sq != sq), sq)
-    if bad:
-        raise DegenerateFrame("no spacelike normal direction found", *bad)
-    return x.scale(-1.0 / OPS.sqrt(sq)), n2
+        bad = first_failure(out_of_bound(sq, 0.0), sq)
+        if bad:
+            raise DegenerateFrame("no spacelike normal direction found", *bad)
+        return x.scale(-1.0 / OPS.sqrt(sq)), n2
 
 
 class PointData:
@@ -369,69 +363,71 @@ def point_data_from_derivatives(u: float, v: float, z: Vec4M,
     for orientation, so sign-flipped frames can be probed deliberately.
     Without one the canonical :func:`normal_frame` is used.
     """
-    e, f, g, det2 = _metric(z_u, z_v)
-    bad = first_failure(_not_spacelike(e, det2), u, v, e, det2)
-    if bad:
-        raise NotSpacelike(*bad)
-    w = OPS.sqrt(det2)
-
-    if frame is None:
-        n1, n2 = normal_frame(z_u, z_v)
-    else:
-        n1, n2 = frame
-        su = OPS.sqrt(e)
-        sv = OPS.sqrt(g)
-        worst = OPS.max(
-            abs(inner(n1, n1) - 1.0), abs(inner(n2, n2) + 1.0),
-            abs(inner(n1, n2)),
-            abs(inner(n1, z_u)) / su, abs(inner(n1, z_v)) / sv,
-            abs(inner(n2, z_u)) / su, abs(inner(n2, z_v)) / sv,
-        )
-        bad = first_failure(worst > FRAME_TOL, worst)
+    with quiet():
+        e, f, g, det2, not_spacelike = _metric(z_u, z_v)
+        bad = first_failure(not_spacelike, u, v, e, det2)
         if bad:
-            raise DegenerateFrame(
-                "supplied frame is not orthonormal-normal (residual {:.3e})"
-                .format(*bad), *bad)
+            raise NotSpacelike(*bad)
+        w = OPS.sqrt(det2)
 
-    c11_1 = inner(z_uu, n1)
-    c12_1 = inner(z_uv, n1)
-    c22_1 = inner(z_vv, n1)
-    c11_2 = inner(z_uu, n2)
-    c12_2 = inner(z_uv, n2)
-    c22_2 = inner(z_vv, n2)
+        if frame is None:
+            n1, n2 = normal_frame(z_u, z_v)
+        else:
+            n1, n2 = frame
+            su = OPS.sqrt(e)
+            sv = OPS.sqrt(g)
+            worst = OPS.max(
+                abs(inner(n1, n1) - 1.0), abs(inner(n2, n2) + 1.0),
+                abs(inner(n1, n2)),
+                abs(inner(n1, z_u)) / su, abs(inner(n1, z_v)) / sv,
+                abs(inner(n2, z_u)) / su, abs(inner(n2, z_v)) / sv,
+            )
+            bad = first_failure(out_of_bound(worst, hi=FRAME_TOL), worst)
+            if bad:
+                raise DegenerateFrame(
+                    "supplied frame is not orthonormal-normal "
+                    "(residual {:.3e})".format(*bad), *bad)
 
-    big_l = (2.0 / w) * (c11_1 * c12_2 - c12_1 * c11_2)
-    big_m = (1.0 / w) * (c11_1 * c22_2 - c22_1 * c11_2)
-    big_n = (2.0 / w) * (c12_1 * c22_2 - c22_1 * c12_2)
+        c11_1 = inner(z_uu, n1)
+        c12_1 = inner(z_uv, n1)
+        c22_1 = inner(z_vv, n1)
+        c11_2 = inner(z_uu, n2)
+        c12_2 = inner(z_uv, n2)
+        c22_2 = inner(z_vv, n2)
 
-    k = (big_l * big_n - big_m * big_m) / det2
-    kappa_normal = (e * big_n + g * big_l - 2.0 * f * big_m) / (2.0 * det2)
+        big_l = (2.0 / w) * (c11_1 * c12_2 - c12_1 * c11_2)
+        big_m = (1.0 / w) * (c11_1 * c22_2 - c22_1 * c11_2)
+        big_n = (2.0 / w) * (c12_1 * c22_2 - c22_1 * c12_2)
 
-    # Gauss equation in a flat ambient space, on the normal components of
-    # the second derivatives: <s11, s22> - <s12, s12> over EG - F^2, with
-    # s_ij = c_ij^1 n1 - c_ij^2 n2 and <n2, n2> = -1.
-    gauss_k = (c11_1 * c22_1 - c11_2 * c22_2
-               - c12_1 * c12_1 + c12_2 * c12_2) / det2
+        k = (big_l * big_n - big_m * big_m) / det2
+        kappa_normal = ((e * big_n + g * big_l - 2.0 * f * big_m)
+                        / (2.0 * det2))
 
-    # Mean curvature vector: normal projection of the metric trace of the
-    # second derivatives.
-    trace = (z_uu.scale(g) - z_uv.scale(2.0 * f) + z_vv.scale(e)).scale(
-        1.0 / (2.0 * det2))
-    h_vec = _project_normal(trace, z_u, z_v, e, f, g, det2)
-    h_vec = OPS.where(
-        h_vec.euclidean_norm() <= H_FLOOR * trace.euclidean_norm(),
-        ZERO, h_vec)
-    h1 = inner(h_vec, n1)
-    h2 = -inner(h_vec, n2)
+        # Gauss equation in a flat ambient space, on the normal components
+        # of the second derivatives: <s11, s22> - <s12, s12> over
+        # EG - F^2, with s_ij = c_ij^1 n1 - c_ij^2 n2 and <n2, n2> = -1.
+        gauss_k = (c11_1 * c22_1 - c11_2 * c22_2
+                   - c12_1 * c12_1 + c12_2 * c12_2) / det2
 
-    return PointData(u=u, v=v, z=z, z_u=z_u, z_v=z_v,
-                     z_uu=z_uu, z_uv=z_uv, z_vv=z_vv,
-                     E=e, F=f, G=g, W=w, n1=n1, n2=n2,
-                     c11_1=c11_1, c12_1=c12_1, c22_1=c22_1,
-                     c11_2=c11_2, c12_2=c12_2, c22_2=c22_2,
-                     L=big_l, M=big_m, N=big_n,
-                     k=k, kappa_normal=kappa_normal, K=gauss_k,
-                     H=h_vec, H1=h1, H2=h2)
+        # Mean curvature vector: normal projection of the metric trace of
+        # the second derivatives.
+        trace = (z_uu.scale(g) - z_uv.scale(2.0 * f) + z_vv.scale(e)).scale(
+            1.0 / (2.0 * det2))
+        h_vec = _project_normal(trace, z_u, z_v, e, f, g, det2)
+        h_vec = OPS.where(
+            h_vec.euclidean_norm() <= H_FLOOR * trace.euclidean_norm(),
+            ZERO, h_vec)
+        h1 = inner(h_vec, n1)
+        h2 = -inner(h_vec, n2)
+
+        return PointData(u=u, v=v, z=z, z_u=z_u, z_v=z_v,
+                         z_uu=z_uu, z_uv=z_uv, z_vv=z_vv,
+                         E=e, F=f, G=g, W=w, n1=n1, n2=n2,
+                         c11_1=c11_1, c12_1=c12_1, c22_1=c22_1,
+                         c11_2=c11_2, c12_2=c12_2, c22_2=c22_2,
+                         L=big_l, M=big_m, N=big_n,
+                         k=k, kappa_normal=kappa_normal, K=gauss_k,
+                         H=h_vec, H1=h1, H2=h2)
 
 
 def is_marginally_trapped(p: PointData, tol: float = 1e-9) -> bool:

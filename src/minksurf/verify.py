@@ -17,14 +17,13 @@ the observed noise.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
 from . import jets as _j
 from .errors import UsageError
 from .jets import Jet2
-from .minkowski import Vec4M, first_failure, inner, quiet
+from .minkowski import OPS, Vec4M, first_failure, inner, out_of_bound, quiet
 from .surface import (GridSpec, Interval, SurfacePatch,
                       is_marginally_trapped, jet_eval_surface, point_data)
 # profile_v is not called here; perfbench/spans.py counts profile
@@ -95,10 +94,6 @@ def _grid_report(claim_id: str, residual, us, vs, threshold: float,
                               details or {}, failure)
 
 
-def _max(*residuals):
-    return reduce(np.maximum, residuals)
-
-
 def _rel(a, b):
     """|a - b| relative to |b|, floored at 1."""
     return abs(a - b) / np.maximum(abs(b), 1.0)
@@ -140,7 +135,7 @@ def verify_second_fundamental_form(patch: SurfacePatch, grid: GridSpec,
     us, vs = grid.lines()
     p = point_data(patch, us, vs)
     cf = parabolic_closed_forms(fp, phi, us, vs)
-    res = _max(abs(p.L), abs(p.N), _rel(p.M, cf.M))
+    res = OPS.max(abs(p.L), abs(p.N), _rel(p.M, cf.M))
     return _grid_report("second-form-degenerate", res, us, vs, tol)
 
 
@@ -151,8 +146,8 @@ def verify_closed_form_invariants(patch: SurfacePatch, grid: GridSpec,
     us, vs = grid.lines()
     p = point_data(patch, us, vs)
     cf = parabolic_closed_forms(fp, phi, us, vs)
-    res = _max(_rel(p.k, cf.k), _rel(p.K, cf.K), _rel(p.H1, cf.H1),
-               _rel(p.H2, cf.H2))
+    res = OPS.max(_rel(p.k, cf.k), _rel(p.K, cf.K), _rel(p.H1, cf.H1),
+                  _rel(p.H2, cf.H2))
     return _grid_report("closed-form-invariants", res, us, vs, tol)
 
 
@@ -195,17 +190,17 @@ def verify_ode_chain(params: MTFamilyParams,
         gj = profile_u(prof.g, u)
         g1, g2 = gj.du, gj.duu
         rhs = s * a * (-2.0 * g1) ** 1.5
-        scale = _max(1.0, abs(u * g2), abs(2.0 * g1), abs(rhs))
+        scale = OPS.max(1.0, abs(u * g2), abs(2.0 * g1), abs(rhs))
         r_ode = abs(-u * g2 + 2.0 * g1 - rhs) / scale
         h = 1.0 / np.sqrt(-2.0 * g1)
         h_prime = g2 * (-2.0 * g1) ** -1.5
-        scale = _max(1.0, abs(h_prime), abs(h / u), abs(a / u))
+        scale = OPS.max(1.0, abs(h_prime), abs(h / u), abs(a / u))
         r_lin = abs(h_prime + h / u + s * a / u) / scale
         want = mt_general_gprime(params, u)
         r_gp = abs(g1 - want) / np.maximum(1.0, abs(want))
     subs = {"ode_residual": r_ode, "linear_residual": r_lin,
             "gprime_residual": r_gp}
-    return _grid_report("profile-ode-chain", _max(*subs.values()), u,
+    return _grid_report("profile-ode-chain", OPS.max(*subs.values()), u,
                         np.zeros(u.size), tol,
                         details={key: float(np.max(r))
                                  for key, r in subs.items()})
@@ -248,7 +243,7 @@ def verify_case1_hyperplane(patch: SurfacePatch, grid: GridSpec,
     _, phi = _profiles(patch, "verify_case1_hyperplane")
     v = np.array(phi.domain.linspace(101))
     kb = np.broadcast_to(kappa_bar(phi, v), v.shape)
-    bad = first_failure(abs(kb) > CASE1_KAPPA_TOL, kb, v)
+    bad = first_failure(out_of_bound(abs(kb), hi=CASE1_KAPPA_TOL), kb, v)
     if bad:
         raise UsageError("generating-curve curvature is not zero "
                          "(kappa={!r} at v={!r})".format(*bad))

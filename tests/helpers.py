@@ -94,6 +94,14 @@ def reproducer_pair() -> ProfilePair:
                        compile_profile("-u", "u"), Interval(0.5, 2.0))
 
 
+def nan_curvature_phi() -> ProfileCurvePhi:
+    """phi = 1.2e144 cos(1e10 v) on [0, 1]: phi'^2 + phi^2 fits a float,
+    but the numerator of kappa_bar is inf - inf, NaN at 134 of 201
+    samples, the first at v = 0.01."""
+    return ProfileCurvePhi(phi=lambda j: 1.2e144 * jets.cos(1e10 * j),
+                           domain=Interval(0.0, 1.0))
+
+
 def nan_near(x0: float):
     """The constant profile 2, NaN within 1e-6 of x0."""
     def profile(j: Jet2) -> Jet2:

@@ -410,10 +410,18 @@ class TestRejectedInputs:
            "must fit a float\n")
           for a, A in (("-1e-120", "1e120"), ("-1e120", "1e-120"),
                        ("-1e-104", "1e104"), ("-5e102", "2e-103"))),
+        # kappa_bar is NaN at 134 of the 201 samples of the cone's
+        # check, which wrote the OBJ.
+        (["family", "--type", "cone", "--a=-1e10", "--b", "0",
+          "--phi-expr", "1.2e144*cos(1e10*v)", "--u", "0.2:3:5",
+          "--v", "0:1:5", "--obj", "o"],
+         "error: generating-curve curvature fails the cone constraint; "
+         "max |kappa_bar^2 + 1/(2a)| = nan\n"),
     ], ids=["section-nan", "section-inf", "axis-inf", "projection-nan",
             "family-nan", "section-entry-inf", "immersion-overflow",
             "frame-overflow", "a-cube-underflow", "a-cube-overflow",
-            "a-reciprocal-overflow", "a-doubled-cube-overflow"])
+            "a-reciprocal-overflow", "a-doubled-cube-overflow",
+            "cone-curvature-nan"])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_real(self, tmp_path, capsys, argv, wanted):
         code = run_cli([str(tmp_path / a) if a in ("o", "o.obj") else a

@@ -24,7 +24,7 @@ from minksurf.meridian import (MTFamilyParams, PlaneSection, ProfileCurvePhi,
                                profile_u, profile_v)
 
 from helpers import (flat_points, grid_points, immersion_of,
-                     random_parabolic_patch)
+                     nan_curvature_phi, random_parabolic_patch)
 
 TWO_PI = 2.0 * math.pi
 
@@ -237,6 +237,49 @@ class TestOneRouteToTheJets:
         with pytest.raises(AdmissibilityError) as err:
             call(fp)
         assert str(err.value) == "f > 0 violated at u = 0.5"
+
+
+class TestNaNFailsItsBound:
+    """A NaN that reaches a bound of meridian fails it, and a minksurf
+    error names it; each of these passed the NaN on."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_cone_curvature(self):
+        phi = nan_curvature_phi()
+        kb = kappa_bar(phi, np.array(phi.domain.linspace(201)))
+        assert np.count_nonzero(np.isnan(kb)) == 134
+        with pytest.raises(CurvatureMismatch) as err:
+            mt_cone_patch(-1e10, 0.0, phi)
+        assert math.isnan(err.value.max_deviation)
+        assert str(err.value) == (
+            "generating-curve curvature fails the cone constraint; "
+            "max |kappa_bar^2 + 1/(2a)| = nan")
+
+    def test_section_curvature_match(self):
+        with pytest.raises(ParamError) as err:
+            MTFamilyParams(a=math.nan, b=0.0, c=1.0,
+                           section=PlaneSection(0.0, 0.0, -0.5))
+        assert str(err.value) == (
+            "section curvature -1.0 does not match a=nan")
+
+    @pytest.mark.parametrize("call", [
+        lambda: plane_section_curvature(math.nan, 0.0, -1.0),
+        lambda: plane_section_phi(0.0, 0.0, math.nan),
+        lambda: plane_section_phi(math.nan, 0.0, -1.0),
+    ], ids=["curvature-A", "phi-C", "phi-A"])
+    def test_section_span(self, call):
+        with pytest.raises(ParamError) as err:
+            call()
+        assert str(err.value) == "A^2 + B^2 - 2C = nan must be > 0"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_section_span_passes(self):
+        # An inf span is inside its bound (hi = inf); phi's own check
+        # names the overflow.
+        phi = plane_section_phi(1e200, 0.0, -1.0)
+        with pytest.raises(AdmissibilityError) as err:
+            kappa_bar(phi, 0.5)
+        assert err.value.inequality == "phi'^2 + phi^2 > 0"
 
 
 class TestMtGeneralProfile:

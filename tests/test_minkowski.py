@@ -9,7 +9,7 @@ from minksurf.errors import Error
 from minksurf.minkowski import (E1, E2, E3, E4, XI1, XI2, ZERO,
                                 CausalCharacter, NullFrameCoords, Vec4M,
                                 causal_character, from_null_frame, inner,
-                                to_null_frame)
+                                out_of_bound, to_null_frame)
 
 from helpers import assert_ulps, ulps_apart
 
@@ -118,6 +118,42 @@ class TestArrays:
         for i, c in enumerate(want):
             one = Vec4M(float(v.x1[i]), 0.0, 0.0, float(t[i]))
             assert causal_character(one) is c
+
+
+class TestOutOfBound:
+    """One bound rule: lo < x <= hi, where NaN fails every bound, -inf
+    fails every bound and +inf fails unless hi is inf."""
+
+    INF, NAN = math.inf, math.nan
+    # (lo, hi) -> (x, out of bound?)
+    CASES = {
+        (-INF, None): [(NAN, True), (INF, True), (-INF, True), (0.0, False),
+                       (-1e308, False), (1.7976931348623157e308, False)],
+        (0.0, None): [(NAN, True), (INF, True), (-INF, True), (0.0, True),
+                      (-0.0, True), (5e-324, False), (1e300, False)],
+        (-INF, 1e-9): [(NAN, True), (INF, True), (-INF, True), (1e-9, False),
+                       (1.0000000000000002e-9, True), (0.0, False)],
+        (0.0, INF): [(NAN, True), (INF, False), (-INF, True), (0.0, True),
+                     (1.0, False)],
+        (1e-12, 1.0): [(NAN, True), (1e-12, True), (1.0, False),
+                       (0.5, False), (1.5, True)],
+    }
+
+    @pytest.mark.parametrize("lo,hi", list(CASES),
+                             ids=["finite", "positive", "at-most-tol",
+                                  "positive-or-inf", "two-sided"])
+    def test_floats_and_arrays(self, lo, hi):
+        bounds = {"lo": lo} if hi is None else {"lo": lo, "hi": hi}
+        xs, want = zip(*self.CASES[lo, hi])
+        for x, w in zip(xs, want):
+            # A Python float gives a bool, not the -2 or -1 of ~True or
+            # ~False (which an if reads as true either way).
+            got = out_of_bound(x, **bounds)
+            assert got == w, (x, got)
+        got = out_of_bound(np.array(xs), **bounds)
+        assert got.dtype == bool and got.tolist() == list(want)
+        block = out_of_bound(np.array(xs)[:, None], **bounds)
+        assert block.shape == (len(xs), 1)
 
 
 class TestNullFrame:

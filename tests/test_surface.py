@@ -637,6 +637,35 @@ class TestErrorsCarryTheirPoint:
         assert str(many.value) == str(one.value) == (
             "no spacelike normal direction found")
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_cross_product_is_degenerate(self):
+        # E = 2.06 and EG - F^2 = 1.8e308 are finite, but <x, x> of the
+        # cross product overflows to inf, whose n1 was (-0, -0, 0, -0).
+        z_u = Vec4M(1.4341718354537836, 0.0, 0.0, 0.0)
+        z_v = Vec4M(0.0, 9.348815531369195e+153, 0.0, 0.0)
+        for call in (lambda: normal_frame(z_u, z_v),
+                     lambda: point_data_from_derivatives(
+                         0.0, 0.0, ZERO, z_u, z_v, ZERO, ZERO, ZERO),
+                     lambda: normal_frame(_stack(E1, z_u), _stack(E2, z_v))):
+            with pytest.raises(DegenerateFrame) as err:
+                call()
+            assert err.value.quantity == math.inf
+            assert str(err.value) == "no spacelike normal direction found"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("wrap", [float, lambda x: np.array([x])],
+                             ids=["float", "array"])
+    def test_nan_frame_residual_fails(self, wrap):
+        # n1 is lightlike, with <n1, n1> = 1e310 - 1e310 = inf - inf: the
+        # residual is NaN, computed with no numpy warning.
+        n1 = Vec4M(wrap(1e155), wrap(0.0), wrap(0.0), wrap(1e155))
+        with pytest.raises(DegenerateFrame) as err:
+            point_data_from_derivatives(wrap(0.0), wrap(0.0), ZERO, E1, E2,
+                                        E3, ZERO, E3, frame=(n1, E4))
+        assert math.isnan(err.value.quantity)
+        assert str(err.value) == (
+            "supplied frame is not orthonormal-normal (residual nan)")
+
     def test_supplied_frame_residual(self, flat_patch):
         # The canonical frame at v = 0.5 is valid there and not at v = 1.5.
         j = jet_eval_surface(flat_patch, 1.0, 0.5)

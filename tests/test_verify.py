@@ -23,8 +23,8 @@ from minksurf.verify import (GridSpec, VerificationReport, claim_suite,
                              verify_meridian_planarity, verify_ode_chain,
                              verify_second_fundamental_form)
 
-from helpers import (immersion_of, random_parabolic_patch, replaced,
-                     reproducer_pair)
+from helpers import (immersion_of, nan_curvature_phi,
+                     random_parabolic_patch, replaced, reproducer_pair)
 
 TWO_PI = 2.0 * math.pi
 
@@ -284,6 +284,17 @@ class TestCase1Hyperplane:
         grid = GridSpec(5, 5, Interval(0.6, 1.9), Interval(0.1, 6.0))
         with pytest.raises(UsageError, match="curvature is not zero"):
             verify_case1_hyperplane(build_parabolic(fp, unit_phi()), grid)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_guard_rejects_nan_curvature(self):
+        fp = ProfilePair(f=lambda j: j, g=lambda j: -j,
+                         domain=Interval(0.5, 2.0))
+        patch = build_parabolic(fp, nan_curvature_phi())
+        with pytest.raises(UsageError) as err:
+            verify_case1_hyperplane(patch, GridSpec.for_patch(patch, 3, 3))
+        assert str(err.value) == ("generating-curve curvature is not zero "
+                                  "(kappa=nan at v=0.01)")
 
 
 class TestMeridianPlanarity:
